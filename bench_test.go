@@ -351,3 +351,27 @@ func BenchmarkFusedSweep4(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFusedSweepPair runs one Fig. 18 batch: the out-of-order and
+// in-order twins of the 32K/2w SIPT+IDB L1 on one trace. The twins
+// share one L1 and TLB front end, so compare ns/op against
+// BenchmarkFusedSweep4 (four lanes, four distinct L1s) and against two
+// solo BenchmarkReplayRun passes.
+func BenchmarkFusedSweepPair(b *testing.B) {
+	buf := benchBuffer(b, "h264ref")
+	cfgs := []sim.Config{
+		sim.SIPT(cpu.OOO(), 32, 2, core.ModeCombined),
+		sim.SIPT(cpu.InOrder(), 32, 2, core.ModeCombined),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sts, err := sim.RunConfigs(context.Background(), "h264ref", buf, cfgs, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(sts) != len(cfgs) {
+			b.Fatal("short sweep")
+		}
+	}
+}

@@ -109,6 +109,17 @@ func (a *Account) AddWayPredictedL1(n uint64) { a.wayPredicted += n }
 // predictors (perceptron read + train, IDB read + update).
 func (a *Account) AddPredictorOps(n uint64) { a.predictorOps += n }
 
+// MergeL1 folds other's L1 and predictor events into a, and nothing
+// else. Those events depend only on the record stream and the L1
+// configuration, so fused sweep lanes that share one L1 front end
+// charge them once and copy them into every lane of the group; the
+// accounts may differ in everything below the L1.
+func (a *Account) MergeL1(other *Account) {
+	a.accesses[L1] += other.accesses[L1]
+	a.wayPredicted += other.wayPredicted
+	a.predictorOps += other.predictorOps
+}
+
 // Merge folds other's accumulated events into a; both accounts must
 // share identical parameters (it panics otherwise — merging accounts
 // of different machines has no meaning). A decoupled multicore run

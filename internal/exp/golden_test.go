@@ -46,12 +46,14 @@ func renderExperiment(t *testing.T, id string) string {
 
 // TestGoldenTables asserts that the hot-path optimisations never change
 // experiment output: fig6/fig9/fig13 must render byte-identically to
-// the golden output captured from the pre-optimisation implementation.
+// the golden output captured from the pre-optimisation implementation,
+// and fig18 to the output captured before its lanes shared an L1 front
+// end.
 // Regenerate (only after an intentional semantic change) with:
 //
 //	go test ./internal/exp -run TestGoldenTables -update
 func TestGoldenTables(t *testing.T) {
-	for _, id := range []string{"fig6", "fig9", "fig13"} {
+	for _, id := range []string{"fig6", "fig9", "fig13", "fig18"} {
 		t.Run(id, func(t *testing.T) {
 			got := renderExperiment(t, id)
 			path := filepath.Join("testdata", "golden_"+id+".txt")

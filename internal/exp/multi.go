@@ -108,6 +108,11 @@ func Fig15(r *Runner) ([]*report.Table, error) {
 // THP off, no >4KiB contiguity) on both cores. Reported per condition:
 // average normalised IPC and energy per geometry, plus the prediction
 // accuracy (fast-access fraction) of the 32K/2w configuration.
+//
+// Each L1 configuration runs as one two-lane batch holding its
+// out-of-order and in-order twins, which share one simulation of the
+// L1 and TLB front end (sim.RunConfigs); the rows are then assembled
+// core by core.
 func Fig18(r *Runner) ([]*report.Table, error) {
 	t := &report.Table{
 		Title: "Fig. 18: IPC, energy, and prediction accuracy under various operating conditions",
@@ -119,41 +124,61 @@ func Fig18(r *Runner) ([]*report.Table, error) {
 			"pred-acc"},
 	}
 	geoms := sim.SIPTGeometries()
-	for _, coreCfg := range []cpu.Config{cpu.OOO(), cpu.InOrder()} {
-		for _, sc := range vm.Scenarios() {
-			type row struct {
-				ipc, energy [4]float64
-				acc         float64
-			}
-			rows, err := forEachApp(r, func(app string) (row, error) {
-				var rw row
-				cfgs := []sim.Config{sim.Baseline(coreCfg)}
-				for _, g := range geoms {
-					cfg := sim.SIPT(coreCfg, g[0], g[1], core.ModeCombined)
-					cfg.NoContig = sc == vm.ScenarioNoContig
-					cfgs = append(cfgs, cfg)
+	cores := []cpu.Config{cpu.OOO(), cpu.InOrder()}
+	type row struct {
+		ipc, energy [4]float64
+		acc         float64
+	}
+	scs := vm.Scenarios()
+	rows := make([][][]row, len(scs)) // [scenario][app][core]
+	for si, sc := range scs {
+		var err error
+		rows[si], err = forEachApp(r, func(app string) ([]row, error) {
+			// sts[ci][0] is the baseline, sts[ci][gi+1] geometry gi.
+			sts := make([][]sim.Stats, len(cores))
+			for li := 0; li <= len(geoms); li++ {
+				pair := make([]sim.Config, len(cores))
+				for ci, coreCfg := range cores {
+					if li == 0 {
+						pair[ci] = sim.Baseline(coreCfg)
+						continue
+					}
+					g := geoms[li-1]
+					pair[ci] = sim.SIPT(coreCfg, g[0], g[1], core.ModeCombined)
+					pair[ci].NoContig = sc == vm.ScenarioNoContig
 				}
-				sts, err := r.RunConfigs(app, cfgs, sc)
+				out, err := r.RunConfigs(app, pair, sc)
 				if err != nil {
-					return rw, err
+					return nil, err
 				}
-				base := sts[0]
+				for ci := range cores {
+					sts[ci] = append(sts[ci], out[ci])
+				}
+			}
+			rws := make([]row, len(cores))
+			for ci := range cores {
+				base := sts[ci][0]
 				for gi, g := range geoms {
-					st := sts[gi+1]
-					rw.ipc[gi] = st.IPC() / base.IPC()
-					rw.energy[gi] = st.Energy.Total() / base.Energy.Total()
+					st := sts[ci][gi+1]
+					rws[ci].ipc[gi] = st.IPC() / base.IPC()
+					rws[ci].energy[gi] = st.Energy.Total() / base.Energy.Total()
 					if g[0] == 32 && g[1] == 2 {
-						rw.acc = st.L1.FastFraction()
+						rws[ci].acc = st.L1.FastFraction()
 					}
 				}
-				return rw, nil
-			})
-			if err != nil {
-				return nil, err
 			}
+			return rws, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	for ci, coreCfg := range cores {
+		for si, sc := range scs {
 			var ipc, energy [4][]float64
 			var accs []float64
-			for _, rw := range rows {
+			for _, rws := range rows[si] {
+				rw := rws[ci]
 				for gi := range geoms {
 					ipc[gi] = append(ipc[gi], rw.ipc[gi])
 					energy[gi] = append(energy[gi], rw.energy[gi])

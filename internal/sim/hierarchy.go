@@ -74,6 +74,11 @@ type Hierarchy struct {
 	// per-record predictor-energy branch.
 	predOn bool
 
+	// tap, set only on the leading lane of a fused sweep's front-end
+	// group (see soa.go), takes over the TLB step and records the
+	// front half's outcome for the lanes that replay it.
+	tap *frontTap
+
 	path PathStats
 }
 
@@ -112,27 +117,33 @@ func (h *Hierarchy) L2Stats() cache.Stats {
 	return h.l2.Stats()
 }
 
-// Access implements cpu.MemSystem: it runs the SIPT L1 flow, the TLB,
-// and the miss path, returning the load-to-use latency.
+// Access implements cpu.MemSystem, returning the load-to-use latency.
+// It runs the two halves of an access in one body:
+//
+//   - the front half, which does not depend on time: the SIPT L1 flow
+//     with its predictors, the L1 fill and victim on a miss, the L1 and
+//     predictor energy, and the TLB. SIPT tags are physical, so all of
+//     it is a function of the record stream and the L1 configuration
+//     alone (DESIGN.md §14, "Shared front end");
+//   - the timed back half: the L1 port and, on a miss, the L2/LLC/DRAM
+//     fetch and the victim's write-back (missPath).
+//
+// Filling the L1 at access time rather than after the lower levels
+// answer changes nothing: the L1 is not read in between, and the
+// victim is still written back after the L2's own fill.
 //
 //sipt:hotpath
 func (h *Hierarchy) Access(rec *trace.Record, now uint64) cpu.MemResult {
 	store := rec.IsStore()
 	var r core.Result
 	h.l1.AccessInto(&r, rec.PC, rec.VA, rec.PA, store)
-
-	// L1 port: each array read occupies one slot.
-	start := now
-	if h.portFree > start {
-		start = h.portFree
+	var victim memaddr.PAddr
+	dirty := false
+	if !r.Hit {
+		if v, ev := h.l1.Fill(rec.PA, store); ev && v.Dirty {
+			victim, dirty = v.PA, true
+		}
 	}
-	h.portFree = start + uint64(r.ArraySlots)
-	lat := int(start-now) + r.Latency
-
-	// Translation runs in parallel with the (speculative) array read;
-	// only misses add latency beyond what the L1 path already includes.
-	tr := h.tlb.Translate(rec.VA, rec.Huge())
-	lat += tr.Penalty
 
 	// Energy: demand access (way-predicted hits cost 1/ways) plus any
 	// wasted SIPT array read at full cost.
@@ -148,17 +159,41 @@ func (h *Hierarchy) Access(rec *trace.Record, now uint64) cpu.MemResult {
 		h.acct.AddPredictorOps(1)
 	}
 
+	// Translation runs in parallel with the (speculative) array read;
+	// only misses add latency beyond what the L1 path already includes.
+	var penalty int
+	if h.tap == nil {
+		penalty = h.tlb.Translate(rec.VA, rec.Huge()).Penalty
+	} else {
+		penalty = h.tap.front(h.tlb, rec, &r, victim, dirty)
+	}
+
+	lat := h.port(now, r.ArraySlots) + r.Latency + penalty
 	if !r.Hit {
-		lat += h.missPath(rec.PA, store, now+uint64(lat))
+		lat += h.missPath(rec.PA, now+uint64(lat), victim, dirty)
 	}
 	return cpu.MemResult{Latency: lat}
 }
 
-// missPath fetches the line from L2/LLC/DRAM, fills upward, and
-// returns the additional latency beyond the L1 pipeline.
+// port books slots back-to-back array reads on the L1's single port
+// from cycle now and returns the cycles the first one waited.
 //
 //sipt:hotpath
-func (h *Hierarchy) missPath(pa memaddr.PAddr, store bool, at uint64) int {
+func (h *Hierarchy) port(now uint64, slots int) int {
+	start := now
+	if h.portFree > start {
+		start = h.portFree
+	}
+	h.portFree = start + uint64(slots)
+	return int(start - now)
+}
+
+// missPath fetches the line from L2/LLC/DRAM, fills the lower levels,
+// writes back the L1's victim when dirty, and returns the additional
+// latency beyond the L1 pipeline.
+//
+//sipt:hotpath
+func (h *Hierarchy) missPath(pa memaddr.PAddr, at uint64, victim memaddr.PAddr, dirty bool) int {
 	lat := 0
 	if h.l2 != nil {
 		h.acct.AddAccesses(energy.L2, 1)
@@ -179,16 +214,16 @@ func (h *Hierarchy) missPath(pa memaddr.PAddr, store bool, at uint64) int {
 	} else {
 		lat += h.llcFetch(pa, at)
 	}
-	if v, ev := h.l1.Fill(pa, store); ev && v.Dirty {
+	if dirty {
 		// L1 victim written back to the next level (off the critical
 		// path: energy and state only).
 		if h.l2 != nil {
 			h.acct.AddAccesses(energy.L2, 1)
-			h.l2.Fill(v.PA, true)
+			h.l2.Fill(victim, true)
 		} else {
 			h.acct.AddAccesses(energy.LLC, 1)
-			h.llc.access(v.PA, true, at+uint64(lat))
-			h.llc.cache.Fill(v.PA, true)
+			h.llc.access(victim, true, at+uint64(lat))
+			h.llc.cache.Fill(victim, true)
 		}
 	}
 	return lat

@@ -80,52 +80,78 @@ func TestMixBuffersDecoupledDeterministic(t *testing.T) {
 // test: for randomized config sets — 1..16 lanes drawn with
 // replacement, so duplicates occur — the fused sweep must return,
 // positionally, the byte-for-byte result of a solo RunBuffer replay of
-// each lane.
+// each lane. The pool holds out-of-order and in-order twins of every
+// SIPT L1, so the draws form shared-front-end groups of 1..k lanes that
+// mix core models; the first trial runs the whole pool at once. The
+// fragmented scenario's trace adds frequent misspeculation, and the
+// stores of both traces exercise dirty-victim replay.
 func TestRunConfigsRandomizedMatchesSolo(t *testing.T) {
 	prof := smallProf(t, "ycsb", 2)
 	const recs = 8_000
-	buf, err := Materialize(prof, vm.ScenarioNormal, 5, recs)
-	if err != nil {
-		t.Fatal(err)
+	var pool []Config
+	for _, c := range []cpu.Config{cpu.OOO(), cpu.InOrder()} {
+		noContig := SIPT(c, 32, 4, core.ModeCombined)
+		noContig.NoContig = true
+		wayPred := SIPT(c, 32, 2, core.ModeCombined)
+		wayPred.WayPrediction = true
+		pool = append(pool,
+			Baseline(c),
+			SIPT(c, 32, 2, core.ModeNaive),
+			SIPT(c, 32, 2, core.ModeIdeal),
+			SIPT(c, 32, 2, core.ModeBypass),
+			SIPT(c, 32, 2, core.ModeCombined),
+			SIPT(c, 64, 4, core.ModeCombined),
+			SIPT(c, 128, 4, core.ModeCombined),
+			SIPT(c, 64, 4, core.ModeNaive),
+			noContig,
+			wayPred,
+		)
 	}
-	pool := []Config{
-		Baseline(cpu.OOO()),
-		Baseline(cpu.InOrder()),
-		SIPT(cpu.OOO(), 32, 2, core.ModeNaive),
-		SIPT(cpu.OOO(), 32, 2, core.ModeIdeal),
-		SIPT(cpu.OOO(), 32, 2, core.ModeBypass),
-		SIPT(cpu.OOO(), 32, 2, core.ModeCombined),
-		SIPT(cpu.OOO(), 64, 4, core.ModeCombined),
-		SIPT(cpu.OOO(), 128, 4, core.ModeCombined),
-		SIPT(cpu.InOrder(), 64, 4, core.ModeNaive),
-	}
-	rng := rand.New(rand.NewSource(99))
-	solo := make(map[int]Stats) // pool index -> stats, computed once
-	for trial := 0; trial < 4; trial++ {
-		n := 1 + rng.Intn(16)
-		cfgs := make([]Config, n)
-		picks := make([]int, n)
-		for i := range cfgs {
-			picks[i] = rng.Intn(len(pool))
-			cfgs[i] = pool[picks[i]]
-		}
-		fused, err := RunConfigs(context.Background(), prof.Name, buf, cfgs, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, pi := range picks {
-			want, ok := solo[pi]
-			if !ok {
-				want, err = RunBuffer(context.Background(), prof.Name, buf, pool[pi], 5)
+	for _, sc := range []vm.Scenario{vm.ScenarioNormal, vm.ScenarioFragmented} {
+		t.Run(sc.String(), func(t *testing.T) {
+			buf, err := Materialize(prof, sc, 5, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(99))
+			solo := make(map[int]Stats) // pool index -> stats, computed once
+			for trial := 0; trial < 6; trial++ {
+				var picks []int
+				if trial == 0 {
+					for i := range pool {
+						picks = append(picks, i)
+					}
+				} else {
+					for n := 1 + rng.Intn(16); len(picks) < n; {
+						picks = append(picks, rng.Intn(len(pool)))
+					}
+				}
+				cfgs := make([]Config, len(picks))
+				for i, pi := range picks {
+					cfgs[i] = pool[pi]
+				}
+				fused, err := RunConfigs(context.Background(), prof.Name, buf, cfgs, 5)
 				if err != nil {
 					t.Fatal(err)
 				}
-				solo[pi] = want
+				for i, pi := range picks {
+					want, ok := solo[pi]
+					if !ok {
+						want, err = RunBuffer(context.Background(), prof.Name, buf, pool[pi], 5)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want.L1C.Writebacks == 0 {
+							t.Fatalf("%s: no dirty L1 victims; dirty-victim replay is untested", pool[pi].Label())
+						}
+						solo[pi] = want
+					}
+					if fused[i] != want {
+						t.Errorf("trial %d lane %d (%s %s): fused differs from solo\nfused: %+v\nsolo:  %+v",
+							trial, i, cfgs[i].Core.Name, cfgs[i].Label(), fused[i], want)
+					}
+				}
 			}
-			if fused[i] != want {
-				t.Errorf("trial %d lane %d (%s): fused differs from solo\nfused: %+v\nsolo:  %+v",
-					trial, i, cfgs[i].Label(), fused[i], want)
-			}
-		}
+		})
 	}
 }

@@ -47,11 +47,14 @@ func RunBuffer(ctx context.Context, name string, buf *replay.Buffer, cfg Config,
 // materialised trace through the structure-of-arrays sweep kernel (see
 // soa.go): every lane's machine state is carved from contiguous
 // same-field slabs and each lane makes one register-resident pass over
-// the packed words. Each configuration gets the full private machinery
-// of a solo run (per-config LLC and DRAM — these are single-core
-// systems that share nothing), so RunConfigs(buf, cfgs) returns exactly
-// what looping RunBuffer over cfgs would, for a fraction of the decode
-// and none of the re-generation cost.
+// the packed words. Each configuration gets the full private timed
+// machinery of a solo run (per-config L1 port, L2, LLC and DRAM —
+// these are single-core systems that share nothing timed), so
+// RunConfigs(buf, cfgs) returns exactly what looping RunBuffer over
+// cfgs would, for a fraction of the decode and none of the
+// re-generation cost. Lanes with the same L1 configuration (the
+// in-order and out-of-order twins of one L1, say) also share one
+// simulation of the timing-independent L1 and TLB front end.
 //
 // Context semantics match RunApp: each lane's pass polls ctx every
 // cpu.CtxCheckInterval records. Results are positional: out[i]
@@ -61,10 +64,11 @@ func RunConfigs(ctx context.Context, name string, buf *replay.Buffer, cfgs []Con
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s, err := newSoaSweep(ctx, cfgs, seed)
+	s, err := newSoaSweep(ctx, cfgs, seed, buf)
 	if err != nil {
 		return nil, err
 	}
+	defer s.release()
 	words := buf.Words()
 	for lane := range cfgs {
 		if err := s.runLane(ctx, lane, words); err != nil {
@@ -77,6 +81,10 @@ func RunConfigs(ctx context.Context, name string, buf *replay.Buffer, cfgs []Con
 		// Sweep-scaled like the setup loop: poll per config.
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if l := s.lead[i]; l != i {
+			// The leader charged the shared L1 and predictor events.
+			s.accts[i].MergeL1(&s.accts[l])
 		}
 		st := collect(cfg, name, s.results[i], &s.hs[i], &s.accts[i])
 		if err := st.CheckInvariants(); err != nil {

@@ -151,9 +151,8 @@ func (a *array) compactStamps() uint32 {
 
 // initArray builds a set-associative array in place over caller-provided
 // storage: backing holds the entries (len >= entries), sets the per-set
-// slice headers (len >= entries/ways). Both the solo constructor (New)
-// and the sweep arena route through here, so the two layouts behave
-// identically.
+// slice headers (len >= entries/ways), so one TLB's three arrays share
+// two allocations.
 func initArray(a *array, entries, ways int, backing []entry, sets [][]entry) {
 	nSets := entries / ways
 	*a = array{sets: sets[:nSets:nSets], setMask: uint64(nSets) - 1}
@@ -198,9 +197,10 @@ func (a *array) insert(key uint64) {
 	a.lastKey, a.lastHit = key, true
 }
 
-// TLB is the two-level data TLB. The arrays are embedded by value so a
-// slab of TLBs (see Arena) keeps every lane's clocks and memo fields
-// contiguous.
+// TLB is the two-level data TLB. The arrays are embedded by value, so
+// their clocks and memo fields sit together with the stats. A fused
+// sweep needs only one: its lanes share the timing-independent front
+// end, TLB included (internal/sim).
 type TLB struct {
 	cfg     Config
 	l1Small array
@@ -238,42 +238,6 @@ func New(cfg Config) *TLB {
 	return t
 }
 
-// Arena carves the entry storage of many TLBs out of contiguous slabs,
-// so a fused sweep's lane TLBs sit adjacent in memory and cost two
-// allocations total. Single-use, like cache.Arena.
-type Arena struct {
-	entries []entry
-	sets    [][]entry
-	cfg     Config
-}
-
-// NewArena allocates slabs for n TLBs of the given configuration. It
-// panics on an invalid configuration, like New.
-func NewArena(n int, cfg Config) *Arena {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Arena{
-		entries: make([]entry, n*cfg.entryCount()),
-		sets:    make([][]entry, n*cfg.setCount()),
-		cfg:     cfg,
-	}
-}
-
-// Init builds a TLB in place over the next carve of the arena's slabs;
-// the result is indistinguishable from *New(cfg). It panics when the
-// arena is exhausted.
-func (a *Arena) Init(t *TLB) *TLB {
-	ne, ns := a.cfg.entryCount(), a.cfg.setCount()
-	if len(a.entries) < ne || len(a.sets) < ns {
-		panic("tlb: arena exhausted (Init calls must match NewArena's count)")
-	}
-	backing, sets := a.entries[:ne:ne], a.sets[:ns:ns]
-	a.entries, a.sets = a.entries[ne:], a.sets[ns:]
-	initTLB(t, a.cfg, backing, sets)
-	return t
-}
-
 // Config returns the TLB configuration.
 func (t *TLB) Config() Config { return t.cfg }
 
@@ -287,6 +251,9 @@ type Result struct {
 	// hit, L2Latency on an L2 hit, L2Latency+WalkLatency on a walk.
 	Penalty int
 	L1Hit   bool
+	// Walk marks a full miss (the penalty includes WalkLatency). With
+	// L1Hit it names the outcome's class, which fixes Penalty.
+	Walk bool
 }
 
 // Translate performs the timing lookup for a virtual address. huge
@@ -325,5 +292,5 @@ func (t *TLB) missPath(key uint64, l1 *array) Result {
 	t.stats.Walks++
 	t.l2.insert(key)
 	l1.insert(key)
-	return Result{Penalty: t.cfg.L2Latency + t.cfg.WalkLatency}
+	return Result{Penalty: t.cfg.L2Latency + t.cfg.WalkLatency, Walk: true}
 }

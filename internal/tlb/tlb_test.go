@@ -33,15 +33,15 @@ func TestColdMissThenHit(t *testing.T) {
 	tl := New(Default())
 	va := memaddr.VAddr(0x7f0000001000)
 	r := tl.Translate(va, false)
-	if r.L1Hit {
-		t.Fatal("cold lookup hit")
+	if r.L1Hit || !r.Walk {
+		t.Fatalf("cold lookup: %+v, want a walk", r)
 	}
 	wantPenalty := Default().L2Latency + Default().WalkLatency
 	if r.Penalty != wantPenalty {
 		t.Fatalf("cold penalty = %d, want %d", r.Penalty, wantPenalty)
 	}
 	r = tl.Translate(va, false)
-	if !r.L1Hit || r.Penalty != 0 {
+	if !r.L1Hit || r.Walk || r.Penalty != 0 {
 		t.Fatalf("warm lookup: %+v", r)
 	}
 	st := tl.Stats()
