@@ -258,30 +258,6 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 	}
 }
 
-func BenchmarkTraceCodec(b *testing.B) {
-	rec := trace.Record{PC: 0x400000, VA: 0x7f0000001000, PA: 0x1234000,
-		Gap: 3, DepDist: 2}
-	var sink discard
-	w, err := trace.NewWriter(&sink)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(28)
-	for i := 0; i < b.N; i++ {
-		if err := w.Write(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// discard is an io.Writer that drops everything (hermetic codec bench).
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
 // ---- trace replay ----
 
 // benchBuffer materialises one app's trace once for the replay benches.

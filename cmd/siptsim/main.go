@@ -11,7 +11,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -74,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wayPred := fs.Bool("waypred", false, "enable MRU way prediction")
 	records := fs.Uint64("records", sim.DefaultRecords, "trace length (memory accesses)")
 	seed := fs.Int64("seed", 1, "deterministic seed")
-	traceFile := fs.String("trace", "", "replay a trace file (legacy stream or versioned .sipt format, auto-detected) instead of generating")
+	traceFile := fs.String("trace", "", "replay a .sipt trace file (tracegen -o) instead of generating")
 	timeout := fs.Duration("timeout", 0, "abort the simulation after this duration (0 = no limit)")
 	listApps := fs.Bool("listapps", false, "list workload names and exit")
 	if err := fs.Parse(args); err != nil {
@@ -131,23 +130,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer f.Close()
-		// Sniff the magic to pick the decoder: the versioned tracefile
-		// format (tracegen -o) or the legacy stream (tracegen -out).
-		br := bufio.NewReader(f)
-		head, _ := br.Peek(tracefile.MagicLen)
-		var r trace.Reader
-		if tracefile.Sniff(head) {
-			tr, err := tracefile.NewReader(br)
-			if err != nil {
-				return fail(err)
-			}
-			r = tr
-		} else {
-			fr, err := trace.NewFileReader(br)
-			if err != nil {
-				return fail(err)
-			}
-			r = fr
+		r, err := tracefile.NewReader(f)
+		if err != nil {
+			return fail(err)
 		}
 		st, err = sim.RunTrace(ctx, *traceFile, trace.Limit(r, *records), cfg, *seed)
 		if err != nil {

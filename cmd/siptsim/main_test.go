@@ -147,8 +147,8 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
-// TestReplayTracefileFormat: -trace auto-detects the versioned
-// tracefile format (tracegen -o) and replays it bit-identically to the
+// TestReplayTracefileFormat: -trace reads the .sipt tracefile format
+// (tracegen -o) and replays it bit-identically to the
 // generator-driven run of the same workload.
 func TestReplayTracefileFormat(t *testing.T) {
 	prof := workload.MustLookup("libquantum")

@@ -18,6 +18,11 @@
 //
 // Everything below the core (SIPT L1, TLB, L2/LLC/DRAM, port
 // contention) lives behind the MemSystem interface.
+//
+// Core is the repository's only core timing model. Solo runs and
+// multicore mixes build cores with NewCore; the fused sweep kernel
+// (internal/sim) carves them, with their timing rings, from per-sweep
+// slabs through Init and steps them record by record.
 package cpu
 
 import (
@@ -105,18 +110,26 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// ChaseDistMax is the DepDist at or below which a load is treated as
+// chaseDistMax is the DepDist at or below which a load is treated as
 // part of a pointer chase (its address depends on the previous load of
-// the same PC). Exported for the fused SoA sweep kernel (internal/sim),
-// which replicates the step semantics with lane-indexed state.
-const ChaseDistMax = 3
+// the same PC).
+const chaseDistMax = 3
 
 // StallRingSize sizes the consumer-stall ring (consumer instruction
 // index -> cycle its operand is ready), above the maximum DepDist.
 const StallRingSize = 256
 
+// chainBase is the code region synthetic workloads place memory PCs in
+// (workload.Generator's basePC); PCs in [chainBase, chainBase+4*ChainDenseSlots)
+// take the allocation-free dense path.
+const (
+	chainBase       = 0x400000
+	ChainDenseSlots = 1 << 14
+)
+
 // Core is a single core's timing state. One Core simulates one trace;
-// create a fresh Core per run.
+// build a fresh one per run, with NewCore or, over caller-owned slabs,
+// with Init.
 type Core struct {
 	cfg Config
 	mem MemSystem
@@ -135,27 +148,19 @@ type Core struct {
 
 	// chainDense/chainMap map a load PC to its last completion time (OOO
 	// pointer-chase chains). Synthetic traces use a small dense PC range
-	// starting at ChainBase, served by a slice; anything else (replayed
+	// starting at chainBase, served by a slice; anything else (replayed
 	// real traces) falls back to the map.
 	chainDense []uint64
 	chainMap   map[uint64]uint64
 	// stallReady implements the in-order stall-on-use ring.
-	stallReady [StallRingSize]uint64
+	stallReady *[StallRingSize]uint64
 
 	res Result
 }
 
-// ChainBase is the code region synthetic workloads place memory PCs in
-// (workload.Generator's basePC); PCs in [ChainBase, ChainBase+4*ChainDenseSlots)
-// take the allocation-free dense path.
-const (
-	ChainBase       = 0x400000
-	ChainDenseSlots = 1 << 14
-)
-
 //sipt:hotpath
 func (c *Core) chainGet(pc uint64) uint64 {
-	if idx := (pc - ChainBase) >> 2; idx < uint64(len(c.chainDense)) {
+	if idx := (pc - chainBase) >> 2; idx < uint64(len(c.chainDense)) {
 		return c.chainDense[idx]
 	} else if idx < ChainDenseSlots {
 		return 0
@@ -165,7 +170,7 @@ func (c *Core) chainGet(pc uint64) uint64 {
 }
 
 func (c *Core) chainSet(pc, completion uint64) {
-	idx := (pc - ChainBase) >> 2
+	idx := (pc - chainBase) >> 2
 	if idx < ChainDenseSlots {
 		if idx >= uint64(len(c.chainDense)) {
 			grown := make([]uint64, (idx+1)*2)
@@ -187,15 +192,35 @@ func NewCore(cfg Config, mem MemSystem) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	return new(Core).Init(cfg, mem, make([]uint64, cfg.ROB), new([StallRingSize]uint64), nil)
+}
+
+// Init resets c to a fresh core over mem whose timing rings live in
+// caller-owned memory, in the style of core.L1.InitOver: ring is the
+// retire ring (len(ring) must equal cfg.ROB), stall the consumer-stall
+// ring, and chain the dense pointer-chase table, of at most
+// ChainDenseSlots entries (it grows on demand when shorter). The slabs
+// must be zeroed. It returns c and panics on invalid configuration.
+func (c *Core) Init(cfg Config, mem MemSystem, ring []uint64, stall *[StallRingSize]uint64, chain []uint64) *Core {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	if mem == nil {
 		panic("cpu: nil MemSystem")
 	}
-	return &Core{
+	if len(ring) != cfg.ROB || len(chain) > ChainDenseSlots {
+		panic(fmt.Sprintf("cpu: %d-entry retire ring and %d-entry chase table for a %d-entry ROB",
+			len(ring), len(chain), cfg.ROB))
+	}
+	*c = Core{
 		cfg:        cfg,
 		mem:        mem,
-		retireRing: make([]uint64, cfg.ROB),
+		retireRing: ring,
 		stallOn:    cfg.InOrder || cfg.StallCap > 0,
+		chainDense: chain,
+		stallReady: stall,
 	}
+	return c
 }
 
 // Cycles returns the current cycle (the last retirement time).
@@ -204,91 +229,53 @@ func (c *Core) Cycles() uint64 { return c.lastRetire }
 // Result returns the run summary so far.
 func (c *Core) Result() Result {
 	r := c.res
+	r.Instructions = c.instr
 	r.Cycles = c.lastRetire
 	return r
 }
 
-// dispatchOne advances the front-end by one instruction and returns its
-// dispatch cycle, honouring width, ROB occupancy, and (in-order)
-// operand stalls.
+// step simulates one trace record: its rec.Gap leading non-memory
+// unit-latency instructions, then the access itself. Every instruction
+// dispatches honouring width, ROB occupancy (instruction i waits for
+// i-ROB to retire) and consumer stalls, and retires in order. The
+// timing scalars live in locals for the whole record and are written
+// back once at its end: gap instructions are the majority of all
+// instructions and touch nothing but the rings.
 //
 //sipt:hotpath
-func (c *Core) dispatchOne() uint64 {
-	// ROB: wait for instruction instr-ROB to retire.
-	if floor := c.retireRing[c.robIdx]; floor > c.dispatchCycle {
-		c.dispatchCycle = floor
-		c.slotsUsed = 0
-	}
-	if c.stallOn {
-		slot := c.instr % StallRingSize
-		if ready := c.stallReady[slot]; ready != 0 {
-			if ready > c.dispatchCycle {
-				c.dispatchCycle = ready
-				c.slotsUsed = 0
-			}
-			c.stallReady[slot] = 0
-		}
-	}
-	at := c.dispatchCycle
-	c.slotsUsed++
-	if c.slotsUsed >= c.cfg.Width {
-		c.dispatchCycle++
-		c.slotsUsed = 0
-	}
-	return at
-}
-
-// retire records an instruction's completion, enforcing in-order
-// retirement.
-//
-//sipt:hotpath
-func (c *Core) retire(completion uint64) {
-	if completion < c.lastRetire {
-		completion = c.lastRetire
-	}
-	c.retireRing[c.robIdx] = completion
-	c.robIdx++
-	if c.robIdx == c.cfg.ROB {
-		c.robIdx = 0
-	}
-	c.lastRetire = completion
-	c.instr++
-	c.res.Instructions++
-}
-
-// gapRun dispatches and retires n consecutive non-memory unit-latency
-// instructions. It is dispatchOne+retire fused with the core state held
-// in locals: gap instructions are the majority of all instructions and
-// touch nothing but the rings, so keeping dispatch cycle, slot count,
-// and ring index in registers for the whole run pays.
-//
-//sipt:hotpath
-func (c *Core) gapRun(n uint16) {
+func (c *Core) step(rec *trace.Record) {
 	d, u, r := c.dispatchCycle, c.slotsUsed, c.lastRetire
 	ri, ins := c.robIdx, c.instr
-	ring := c.retireRing
-	width, rob := c.cfg.Width, c.cfg.ROB
-	for g := uint16(0); g < n; g++ {
-		// ROB: wait for instruction ins-ROB to retire.
+	ring, stall := c.retireRing, c.stallReady
+	width, rob, stallOn := c.cfg.Width, c.cfg.ROB, c.stallOn
+	gap := rec.Gap
+
+	// Dispatch gap+1 instructions; the last one is the access, which
+	// dispatches at cycle at.
+	var at uint64
+	for g := uint16(0); ; g++ {
 		if floor := ring[ri]; floor > d {
 			d = floor
 			u = 0
 		}
-		if c.stallOn {
+		if stallOn {
 			slot := ins % StallRingSize
-			if ready := c.stallReady[slot]; ready != 0 {
+			if ready := stall[slot]; ready != 0 {
 				if ready > d {
 					d = ready
 					u = 0
 				}
-				c.stallReady[slot] = 0
+				stall[slot] = 0
 			}
 		}
-		at := d
+		at = d
 		u++
 		if u >= width {
 			d++
 			u = 0
+		}
+		if g == gap {
+			break
 		}
 		completion := at + 1
 		if completion < r {
@@ -302,73 +289,69 @@ func (c *Core) gapRun(n uint16) {
 		r = completion
 		ins++
 	}
-	c.dispatchCycle, c.slotsUsed, c.lastRetire = d, u, r
-	c.robIdx, c.instr = ri, ins
-	c.res.Instructions += uint64(n)
-}
 
-// step simulates one trace record: its leading non-memory instructions
-// and the access itself.
-//
-//sipt:hotpath
-func (c *Core) step(rec *trace.Record) {
-	// Non-memory gap instructions: unit latency.
-	if rec.Gap > 0 {
-		c.gapRun(rec.Gap)
-	}
-
-	at := c.dispatchOne()
+	var completion uint64
 	if rec.IsStore() {
 		c.res.Stores++
 		// Stores retire from a write buffer: unit latency for the core;
 		// the hierarchy still sees the access now.
 		c.mem.Access(rec, at)
-		c.retire(at + 1)
-		return
-	}
-
-	c.res.Loads++
-	issue := at
-	chase := rec.DepDist > 0 && rec.DepDist <= ChaseDistMax
-	if chase {
-		// Address depends on the previous load of this PC.
-		if ready := c.chainGet(rec.PC); ready > issue {
-			issue = ready
+		completion = at + 1
+	} else {
+		c.res.Loads++
+		issue := at
+		chase := rec.DepDist > 0 && rec.DepDist <= chaseDistMax
+		if chase {
+			// Address depends on the previous load of this PC.
+			if ready := c.chainGet(rec.PC); ready > issue {
+				issue = ready
+			}
+		}
+		lat := c.mem.Access(rec, issue).Latency
+		completion = issue + uint64(lat)
+		if chase {
+			c.chainSet(rec.PC, completion)
+		}
+		// Consumer stall: the instruction DepDist later needs the data.
+		// The in-order core stalls for the full latency. The OOO core
+		// absorbs HideLatency cycles, and its stall contribution is
+		// clamped to StallCap: hit-class latencies leak into dispatch
+		// almost fully, while misses beyond the cap are overlapped by
+		// the ROB (their consumers pay only the bounded scheduler-replay
+		// cost).
+		stallAt := completion
+		apply := c.cfg.InOrder
+		if !apply && c.cfg.StallCap > 0 {
+			apply = true
+			exposed := lat
+			if exposed > c.cfg.StallCap {
+				exposed = c.cfg.StallCap
+			}
+			exposed -= c.cfg.HideLatency
+			if exposed <= 0 {
+				apply = false
+			} else {
+				stallAt = issue + uint64(exposed)
+			}
+		}
+		if apply {
+			slot := (ins + uint64(rec.DepDist)) % StallRingSize
+			if stallAt > stall[slot] {
+				stall[slot] = stallAt
+			}
 		}
 	}
-	mr := c.mem.Access(rec, issue)
-	completion := issue + uint64(mr.Latency)
-	if chase {
-		c.chainSet(rec.PC, completion)
+	// Retire in order.
+	if completion < r {
+		completion = r
 	}
-	// Consumer stall: the instruction DepDist later needs the data.
-	// The in-order core stalls for the full latency. The OOO core
-	// absorbs HideLatency cycles, and its stall contribution is clamped
-	// to StallCap: hit-class latencies leak into dispatch almost fully,
-	// while misses beyond the cap are overlapped by the ROB (their
-	// consumers pay only the bounded scheduler-replay cost).
-	stallAt := completion
-	apply := c.cfg.InOrder
-	if !apply && c.cfg.StallCap > 0 {
-		apply = true
-		exposed := mr.Latency
-		if exposed > c.cfg.StallCap {
-			exposed = c.cfg.StallCap
-		}
-		exposed -= c.cfg.HideLatency
-		if exposed <= 0 {
-			apply = false
-		} else {
-			stallAt = issue + uint64(exposed)
-		}
+	ring[ri] = completion
+	ri++
+	if ri == rob {
+		ri = 0
 	}
-	if apply {
-		slot := (c.instr + uint64(rec.DepDist)) % StallRingSize
-		if stallAt > c.stallReady[slot] {
-			c.stallReady[slot] = stallAt
-		}
-	}
-	c.retire(completion)
+	c.dispatchCycle, c.slotsUsed, c.lastRetire = d, u, completion
+	c.robIdx, c.instr = ri, ins+1
 }
 
 // CtxCheckInterval is how many records the run loops execute between
@@ -432,12 +415,9 @@ func (c *Core) Run(ctx context.Context, r trace.Reader, maxRecords uint64) (Resu
 	return c.Result(), nil
 }
 
-// Step exposes single-record stepping for multicore interleaving.
-func (c *Core) Step(rec trace.Record) { c.step(&rec) }
-
-// StepPtr is Step without the record copy: the fused multi-config
-// replay loop decodes each record once and steps N cores with the same
-// pointer. The core must not retain or mutate *rec (step already obeys
+// StepPtr simulates one record, for callers that drive the core
+// themselves: the multicore interleave and the fused sweep kernel
+// (internal/sim). The core does not retain or mutate *rec (step obeys
 // the MemSystem contract).
 //
 //sipt:hotpath

@@ -3,8 +3,11 @@ package cpu
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"sipt/internal/memaddr"
 	"sipt/internal/trace"
 )
 
@@ -373,3 +376,111 @@ func TestRunStopsWithinCheckInterval(t *testing.T) {
 type readerFunc func() (trace.Record, error)
 
 func (f readerFunc) Next() (trace.Record, error) { return f() }
+
+// hashMem returns a latency that depends on the record and the issue
+// cycle, so any divergence in issue timing between two cores shows up
+// in their results. It records every issue cycle it saw.
+type hashMem struct {
+	issues []uint64
+}
+
+func (m *hashMem) Access(rec *trace.Record, now uint64) MemResult {
+	m.issues = append(m.issues, now)
+	h := (uint64(rec.VA) ^ now*0x9e3779b97f4a7c15) >> 7
+	lat := 1 + int(h%24)
+	if h%17 == 0 {
+		lat = 150 + int(h%100) // a miss
+	}
+	return MemResult{Latency: lat}
+}
+
+// randomTrace mixes loads and stores over PCs in the dense chase table
+// and beyond it (the chainMap fallback), with load-use distances across
+// the chase and stall ranges and gaps up to the uint16 limit.
+func randomTrace(n int, seed int64) []trace.Record {
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		pc := uint64(chainBase + 4*rng.Intn(64))
+		if rng.Intn(3) == 0 {
+			pc = chainBase + 4*ChainDenseSlots + uint64(4*rng.Intn(64))
+		}
+		gap := uint16(rng.Intn(12))
+		if rng.Intn(200) == 0 {
+			gap = uint16(65535 - rng.Intn(3))
+		}
+		va := uint64(rng.Intn(1<<20)) << 6
+		r := trace.Record{PC: pc, VA: memaddr.VAddr(va), PA: memaddr.PAddr(va), Gap: gap,
+			DepDist: uint8(1 + rng.Intn(12))}
+		if rng.Intn(4) == 0 {
+			r.Flags = trace.FlagStore
+			r.DepDist = 0
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// TestInitMatchesNewCore: a core initialised over caller-owned slabs —
+// the fused sweep kernel's layout, with neighbouring lanes' segments on
+// either side — must time every record exactly like a NewCore core, on
+// both core models.
+func TestInitMatchesNewCore(t *testing.T) {
+	for _, cfg := range []Config{OOO(), InOrder()} {
+		for seed := int64(1); seed <= 4; seed++ {
+			recs := randomTrace(3000, seed)
+			fresh := &hashMem{}
+			want, err := NewCore(cfg, fresh).Run(context.Background(), trace.NewSliceReader(recs), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ring := make([]uint64, 3*cfg.ROB)
+			stall := make([][StallRingSize]uint64, 3)
+			chain := make([]uint64, 3*ChainDenseSlots)
+			slab := &hashMem{}
+			var c Core
+			c.Init(cfg, slab, ring[cfg.ROB:2*cfg.ROB], &stall[1], chain[ChainDenseSlots:2*ChainDenseSlots])
+			for i := range recs {
+				c.StepPtr(&recs[i])
+			}
+			if got := c.Result(); got != want {
+				t.Errorf("%s seed %d: Init core %+v, NewCore %+v", cfg.Name, seed, got, want)
+			}
+			if !slices.Equal(slab.issues, fresh.issues) {
+				t.Errorf("%s seed %d: issue cycles diverge", cfg.Name, seed)
+			}
+			if want.Instructions < 65535 {
+				t.Errorf("%s seed %d: only %d instructions; the long gaps were not drawn", cfg.Name, seed, want.Instructions)
+			}
+			for _, neighbour := range [][]uint64{ring[:cfg.ROB], ring[2*cfg.ROB:], chain[:ChainDenseSlots], chain[2*ChainDenseSlots:],
+				stall[0][:], stall[2][:]} {
+				if slices.ContainsFunc(neighbour, func(v uint64) bool { return v != 0 }) {
+					t.Fatalf("%s seed %d: core wrote outside its slab segments", cfg.Name, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestInitRejectsMisfitSlabs: a retire ring that does not match the ROB,
+// or a chase table longer than the dense window, is a wiring bug.
+func TestInitRejectsMisfitSlabs(t *testing.T) {
+	for name, init := range map[string]func(){
+		"short ring": func() {
+			new(Core).Init(OOO(), &fixedMem{}, make([]uint64, OOO().ROB-1), new([StallRingSize]uint64), nil)
+		},
+		"long chain": func() {
+			new(Core).Init(OOO(), &fixedMem{}, make([]uint64, OOO().ROB), new([StallRingSize]uint64), make([]uint64, ChainDenseSlots+1))
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", name)
+				}
+			}()
+			init()
+		}()
+	}
+}

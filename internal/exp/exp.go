@@ -72,15 +72,6 @@ type Options struct {
 	// Like Remote it is fixed at construction and shared by every
 	// derived view; the field in a WithOptions argument is ignored.
 	Store *store.Store
-	// ParallelMix switches quad-core mixes (Tab. III, Fig. 15) to the
-	// decoupled-lanes runner with one goroutine per core. This is a
-	// modeling change, not just a speedup: lanes stop contending for
-	// the shared LLC/DRAM/allocator (see sim.RunMixDecoupled), so mix
-	// results differ from the default coupled interleave — though they
-	// are deterministic, and bit-identical to the sequential execution
-	// of the same decoupled semantics. Off by default; the golden
-	// tables are recorded on the coupled path.
-	ParallelMix bool
 }
 
 // DefaultRecords is the harness trace length per app.

@@ -179,7 +179,7 @@ func FromReader(r trace.Reader, sizeHint int) (*Buffer, error) {
 }
 
 // Cursor streams a Buffer's records from the beginning. It implements
-// trace.Reader, trace.InPlaceReader, and trace.Resetter; independent
+// trace.Reader and trace.InPlaceReader; independent
 // cursors over one buffer are safe to use concurrently.
 type Cursor struct {
 	words []uint64
@@ -214,7 +214,7 @@ func (c *Cursor) Next() (trace.Record, error) {
 	return rec, err
 }
 
-// Reset implements trace.Resetter: rewind to the first record. Unlike
+// Reset rewinds to the first record. Unlike
 // workload.Generator.Reset (which rebuilds the address space against
 // the allocator's current state), a cursor reset replays the identical
 // records.

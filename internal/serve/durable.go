@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"sipt/internal/fabric"
+	"sipt/internal/fault"
 	"sipt/internal/journal"
 	"sipt/internal/report"
 	"sipt/internal/sched"
@@ -108,17 +109,28 @@ func (s *Server) journalFinish(j *Job, res jobResult) {
 	s.journalAppend(rec, true) //nolint:errcheck // counted; worst case recovery recomputes
 }
 
-// laneCheckpoint returns the per-lane progress hook for job id, handed
-// to exp.Runner.WithCheckpoint: every result the runner persists while
-// executing this job is journaled as a lane digest, so a restart
-// re-simulates only lanes with no digest on record. Nil when no journal
-// is configured — the runner treats a nil hook as off.
-func (s *Server) laneCheckpoint(id string) func(store.Key) {
+// checkpointHold is the crash drill's injection point: armed (e.g.
+// "serve.checkpoint.hold:1/1"), a job that has just journaled a lane
+// checkpoint holds there until its context ends, so a SIGKILL lands
+// mid-sweep however fast the host simulates. It touches no simulation
+// state.
+var checkpointHold = fault.NewPoint("serve.checkpoint.hold")
+
+// laneCheckpoint returns the per-lane progress hook for job id, running
+// under ctx, handed to exp.Runner.WithCheckpoint: every result the
+// runner persists while executing this job is journaled as a lane
+// digest, so a restart re-simulates only lanes with no digest on
+// record. Nil when no journal is configured — the runner treats a nil
+// hook as off.
+func (s *Server) laneCheckpoint(ctx context.Context, id string) func(store.Key) {
 	if s.jnl == nil {
 		return nil
 	}
 	return func(k store.Key) {
 		s.journalAppend(journal.Record{Type: journal.TypeLane, ID: id, Digest: k.String()}, false) //nolint:errcheck // counted; a lost checkpoint re-simulates one lane
+		if checkpointHold.Fire() {
+			<-ctx.Done()
+		}
 	}
 }
 

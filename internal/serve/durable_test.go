@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -392,5 +393,44 @@ func TestCancelEndpointJournals(t *testing.T) {
 	}
 	if len(jobs) != 1 || !jobs[0].Canceled || jobs[0].Status != "canceled" {
 		t.Errorf("journal after DELETE = %+v, want canceled job-1", jobs)
+	}
+}
+
+// TestCheckpointHoldWaitsForContext: with serve.checkpoint.hold armed, a
+// lane checkpoint is journaled and then holds its job until the job's
+// context ends — the window the crash drill kills the daemon in.
+func TestCheckpointHoldWaitsForContext(t *testing.T) {
+	h := newDurableHarness(t)
+	s, _, jnl := h.boot(t)
+	spec, err := fault.ParseSpec("serve.checkpoint.hold:1/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Arm(spec, 1); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disarm()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := jnl.Stats().Appends
+	done := make(chan struct{})
+	go func() {
+		s.laneCheckpoint(ctx, "job-1")(store.KeyOf("lane"))
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("armed checkpoint returned while its job was live")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := jnl.Stats().Appends - before; got != 1 {
+		t.Errorf("held checkpoint journaled %d records, want 1", got)
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("held checkpoint not released by cancellation")
 	}
 }

@@ -785,7 +785,7 @@ func (s *Server) buildRun(req RunRequest) (runFunc, error) {
 	}
 	app := req.App
 	return func(ctx context.Context, id string) (jobResult, error) {
-		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(id))
+		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(ctx, id))
 		st, err := r.Run(app, cfg, sc)
 		if err != nil {
 			return jobResult{}, err
@@ -818,7 +818,7 @@ func (s *Server) buildSweep(req SweepRequest) (runFunc, error) {
 		opts.Seed = base.Seed
 	}
 	return func(ctx context.Context, id string) (jobResult, error) {
-		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(id))
+		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(ctx, id))
 		tables, err := e.Run(r)
 		return jobResult{tables: tables}, err
 	}, nil

@@ -84,7 +84,7 @@ func (s *Server) buildShard(req fabric.ShardRequest) (runFunc, error) {
 	}
 	cfgs := req.Configs
 	return func(ctx context.Context, id string) (jobResult, error) {
-		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(id))
+		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(ctx, id))
 		stats, err := r.RunConfigs(req.App, cfgs, sc)
 		return jobResult{stats: stats}, err
 	}, nil

@@ -235,7 +235,7 @@ func (s *Server) buildTraceRun(req RunRequest) (runFunc, error) {
 		}
 		cfg := cfg
 		cfg.NoContig = meta.Scenario == vm.ScenarioNoContig
-		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(id))
+		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(ctx, id))
 		st, err := r.RunTrace(key.String(), meta.App, buf, cfg)
 		if err != nil {
 			return jobResult{}, err

@@ -45,9 +45,9 @@ func RunBuffer(ctx context.Context, name string, buf *replay.Buffer, cfg Config,
 
 // RunConfigs advances len(cfgs) independent simulated systems over one
 // materialised trace through the structure-of-arrays sweep kernel (see
-// soa.go): every lane's machine state is carved from contiguous
-// same-field slabs and each lane makes one register-resident pass over
-// the packed words. Each configuration gets the full private timed
+// soa.go): every lane's machine state, its cpu.Core included, is carved
+// from contiguous same-field slabs and each lane makes one pass over the
+// packed words. Each configuration gets the full private timed
 // machinery of a solo run (per-config L1 port, L2, LLC and DRAM —
 // these are single-core systems that share nothing timed), so
 // RunConfigs(buf, cfgs) returns exactly what looping RunBuffer over
@@ -86,35 +86,11 @@ func RunConfigs(ctx context.Context, name string, buf *replay.Buffer, cfgs []Con
 			// The leader charged the shared L1 and predictor events.
 			s.accts[i].MergeL1(&s.accts[l])
 		}
-		st := collect(cfg, name, s.results[i], &s.hs[i], &s.accts[i])
+		st := collect(cfg, name, s.cores[i].Result(), &s.hs[i], &s.accts[i])
 		if err := st.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("sim: fused run of %s on %s: %w", name, cfg.Label(), err)
 		}
 		out[i] = st
 	}
 	return out, nil
-}
-
-// RunMixBuffers is the replay-aware RunMix: a quad-core run whose lanes
-// stream from materialised buffers instead of live generators. A lane
-// that finishes its first pass recycles by rewinding its cursor — the
-// identical records again, i.e. "same program, same mapping" — whereas
-// live RunMix rebuilds the address space per pass and its lanes couple
-// through the shared buddy allocator (churn in one lane shifts frames
-// another lane draws). The two are therefore distinct, individually
-// deterministic modes; the experiment harness keeps mixes on the live
-// path (see DESIGN.md §9).
-func RunMixBuffers(ctx context.Context, mix workload.Mix, cfg Config, bufs [4]*replay.Buffer, seed int64) (MixStats, error) {
-	cfg.Cores = 4
-	if err := cfg.Validate(); err != nil {
-		return MixStats{}, err
-	}
-	var srcs [4]mixSource
-	for i, b := range bufs {
-		if b == nil {
-			return MixStats{}, fmt.Errorf("sim: mix %s: nil buffer for lane %d", mix.Name, i)
-		}
-		srcs[i] = b.Cursor()
-	}
-	return runMixLanes(ctx, mix, cfg, srcs, seed)
 }

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"sipt/internal/core"
 	"sipt/internal/cpu"
+	"sipt/internal/memaddr"
 	"sipt/internal/replay"
+	"sipt/internal/trace"
 	"sipt/internal/vm"
 	"sipt/internal/workload"
 )
@@ -88,48 +91,168 @@ func TestRunConfigsCancellation(t *testing.T) {
 	}
 }
 
-// TestRunMixBuffersDeterministic asserts the buffered quad-core mode is
-// reproducible and structurally sound. (It is a distinct mode from live
-// RunMix — cursor recycling replays identical records, while live lanes
-// rebuild their address space per pass — so no cross-mode equality is
-// asserted; see DESIGN.md §9.)
-func TestRunMixBuffersDeterministic(t *testing.T) {
-	mix := workload.Mixes()[0]
-	cfg := SIPT(cpu.OOO(), 32, 2, core.ModeCombined)
-	const recs = 5_000
+// TestRunConfigsRandomizedMatchesSolo is the SoA kernel's property
+// test: for randomized config sets — 1..16 lanes drawn with
+// replacement, so duplicates occur — the fused sweep must return,
+// positionally, the byte-for-byte result of a solo RunBuffer replay of
+// each lane. The pool holds out-of-order and in-order twins of every
+// SIPT L1, so the draws form shared-front-end groups of 1..k lanes that
+// mix core models; the first trial runs the whole pool at once. The
+// fragmented scenario's trace adds frequent misspeculation, and the
+// stores of both traces exercise dirty-victim replay.
+func TestRunConfigsRandomizedMatchesSolo(t *testing.T) {
+	prof := smallProf(t, "ycsb", 2)
+	const recs = 8_000
+	var pool []Config
+	for _, c := range []cpu.Config{cpu.OOO(), cpu.InOrder()} {
+		noContig := SIPT(c, 32, 4, core.ModeCombined)
+		noContig.NoContig = true
+		wayPred := SIPT(c, 32, 2, core.ModeCombined)
+		wayPred.WayPrediction = true
+		pool = append(pool,
+			Baseline(c),
+			SIPT(c, 32, 2, core.ModeNaive),
+			SIPT(c, 32, 2, core.ModeIdeal),
+			SIPT(c, 32, 2, core.ModeBypass),
+			SIPT(c, 32, 2, core.ModeCombined),
+			SIPT(c, 64, 4, core.ModeCombined),
+			SIPT(c, 128, 4, core.ModeCombined),
+			SIPT(c, 64, 4, core.ModeNaive),
+			noContig,
+			wayPred,
+		)
+	}
+	for _, sc := range []vm.Scenario{vm.ScenarioNormal, vm.ScenarioFragmented} {
+		t.Run(sc.String(), func(t *testing.T) {
+			buf, err := Materialize(prof, sc, 5, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(99))
+			solo := make(map[int]Stats) // pool index -> stats, computed once
+			for trial := 0; trial < 6; trial++ {
+				var picks []int
+				if trial == 0 {
+					for i := range pool {
+						picks = append(picks, i)
+					}
+				} else {
+					for n := 1 + rng.Intn(16); len(picks) < n; {
+						picks = append(picks, rng.Intn(len(pool)))
+					}
+				}
+				cfgs := make([]Config, len(picks))
+				for i, pi := range picks {
+					cfgs[i] = pool[pi]
+				}
+				fused, err := RunConfigs(context.Background(), prof.Name, buf, cfgs, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, pi := range picks {
+					want, ok := solo[pi]
+					if !ok {
+						want, err = RunBuffer(context.Background(), prof.Name, buf, pool[pi], 5)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want.L1C.Writebacks == 0 {
+							t.Fatalf("%s: no dirty L1 victims; dirty-victim replay is untested", pool[pi].Label())
+						}
+						solo[pi] = want
+					}
+					if fused[i] != want {
+						t.Errorf("trial %d lane %d (%s %s): fused differs from solo\nfused: %+v\nsolo:  %+v",
+							trial, i, cfgs[i].Core.Name, cfgs[i].Label(), fused[i], want)
+					}
+				}
+			}
+		})
+	}
+}
 
-	run := func() MixStats {
-		profs := make([]workload.Profile, 4)
-		for i, name := range mix.Apps {
-			profs[i] = smallProf(t, name, 2)
-		}
-		sys := NewSystem(vm.ScenarioNormal, 11, profs...)
-		var bufs [4]*replay.Buffer
-		for i := range profs {
-			gen, err := workload.NewGenerator(profs[i], sys, 11+int64(i), recs)
+// TestEveryTracePacks checks that every synthetic workload, in every
+// memory scenario, materialises into the packed replay encoding at the
+// harness's default length: no synthetic trace needs the live-generation
+// fallback Materialize's callers keep for unpackable traces.
+func TestEveryTracePacks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("materialises every app in every scenario at DefaultRecords")
+	}
+	for _, app := range workload.AllApps() {
+		prof := workload.MustLookup(app)
+		for _, sc := range vm.Scenarios() {
+			buf, err := Materialize(prof, sc, 1, DefaultRecords)
 			if err != nil {
-				t.Fatal(err)
+				t.Errorf("%s/%s: %v", app, sc, err)
+				continue
 			}
-			buf, err := replay.FromReader(gen, recs)
-			if err != nil {
-				t.Fatal(err)
+			if buf.Len() != DefaultRecords {
+				t.Errorf("%s/%s: %d records, want %d", app, sc, buf.Len(), DefaultRecords)
 			}
-			bufs[i] = buf
 		}
-		ms, err := RunMixBuffers(context.Background(), mix, cfg, bufs, 11)
+	}
+}
+
+// TestRunConfigsChaseFallbackMatchesSolo drives the fused kernel over a
+// hand-built trace the synthetic workloads never produce: chase PCs
+// beyond the cores' dense chain table (their map fallback) and gaps up
+// to the uint16 limit. An out-of-order and an in-order core share one
+// L1 configuration, so the second lane is a front-end follower; each
+// lane must still match a solo run of the same configuration.
+func TestRunConfigsChaseFallbackMatchesSolo(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	recs := make([]trace.Record, 6000)
+	for i := range recs {
+		pc := uint64(cpu.ChainDenseSlots*4 + 0x400000 + 4*rng.Intn(32))
+		if rng.Intn(2) == 0 {
+			pc = uint64(0x400000 + 4*rng.Intn(32))
+		}
+		gap := uint16(rng.Intn(10))
+		if rng.Intn(500) == 0 {
+			gap = 65535
+		}
+		vpage := uint64(rng.Intn(2048))
+		off := uint64(rng.Intn(64)) << 6
+		r := trace.Record{
+			PC:      pc,
+			VA:      memaddr.VAddr(0x7f0000000000 + vpage<<12 | off),
+			PA:      memaddr.PAddr((vpage*7919%4096+4096)<<12 | off),
+			Gap:     gap,
+			DepDist: uint8(1 + rng.Intn(8)),
+		}
+		if rng.Intn(4) == 0 {
+			r.Flags, r.DepDist = trace.FlagStore, 0
+		}
+		recs[i] = r
+	}
+	buf, err := replay.FromReader(trace.NewSliceReader(recs), len(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []Config{SIPT(cpu.OOO(), 32, 2, core.ModeCombined), SIPT(cpu.InOrder(), 32, 2, core.ModeCombined)}
+	s, err := newSoaSweep(context.Background(), cfgs, 3, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.release()
+	if s.lead[1] != 0 {
+		t.Fatal("the in-order lane does not follow the out-of-order lane's front end")
+	}
+	fused, err := RunConfigs(context.Background(), "chase", buf, cfgs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		want, err := RunTrace(context.Background(), "chase", trace.NewSliceReader(recs), cfg, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ms
-	}
-
-	a, b2 := run(), run()
-	if a.SumIPC() != b2.SumIPC() || a.Cycles != b2.Cycles || a.Consumed != b2.Consumed {
-		t.Errorf("RunMixBuffers not deterministic:\n%+v\n%+v", a, b2)
-	}
-	for i := range a.PerCore {
-		if a.PerCore[i].Core.Instructions == 0 {
-			t.Errorf("core %d executed nothing", i)
+		if fused[i] != want {
+			t.Errorf("%s %s: fused differs from solo\nfused: %+v\nsolo:  %+v", cfg.Core.Name, cfg.Label(), fused[i], want)
+		}
+		if want.Core.Instructions < 65535 {
+			t.Errorf("%s: %d instructions; the long gaps were not drawn", cfg.Core.Name, want.Core.Instructions)
 		}
 	}
 }

@@ -1,24 +1,20 @@
 // Structure-of-arrays fused-sweep kernel.
 //
 // RunConfigs drives N independent single-core systems over one decoded
-// trace. The AoS implementation (one cfgState per lane, each a separate
-// heap of cache/TLB/predictor objects, stepped record-major through
-// cpu.Core.StepPtr) pays, per record, N interface dispatches plus a
-// walk across N unrelated heaps. The kernel below replaces it:
+// trace. Each lane is a cpu.Core over a Hierarchy, like a solo run, but
+// all lanes' state is carved from contiguous same-field slabs indexed
+// by config lane: cache line metadata and MRU way-predictor state
+// (cache.Arena), perceptron weight tables ([]predictor.Perceptron),
+// hierarchy/engine/stats headers ([]Hierarchy, []core.L1, ...), the
+// cores themselves ([]cpu.Core) and their timing rings (one retire-ring
+// slab, one stall-ring slab, one chase-chain slab with fixed per-lane
+// strides).
 //
-//   - All lanes' hot state is carved from contiguous same-field slabs
-//     indexed by config lane: cache line metadata and MRU way-predictor
-//     state (cache.Arena), perceptron weight tables
-//     ([]predictor.Perceptron), hierarchy/engine/stats headers
-//     ([]Hierarchy, []core.L1, ...), and the core timing rings (one
-//     retire-ring slab, one stall-ring slab, one chase-chain slab with
-//     fixed per-lane strides).
-//   - The sweep runs lane-major: each lane makes one whole-trace pass
-//     with the core's timing scalars (dispatch cycle, retire ring
-//     index, instruction count, ...) held in registers and records
-//     decoded inline from the buffer's packed words — no per-record
-//     reader or MemSystem interface dispatch, and the lane's slab
-//     segment stays hot in the host cache for the entire pass.
+// The sweep runs lane-major: each lane makes one whole-trace pass,
+// decoding records inline from the buffer's packed words and stepping
+// its core, so the lane's slab segment stays hot in the host cache for
+// the entire pass. cpu.Core is the only core timing model; the kernel
+// adds no timing of its own.
 //
 // Lane-major order is bit-identical to the old record-major interleave
 // because fused lanes share no timed state: each lane owns its L1 port,
@@ -31,8 +27,8 @@
 // Hierarchy.Access. Lanes are grouped by their full L1 engine
 // configuration; a group's first lane simulates the L1 and records one
 // packed event per record (frontTap), the group's other lanes replay
-// those events (frontReplay), and lane 0's TLB serves the whole batch
-// (DESIGN.md §14, "Shared front end").
+// those events (frontReplay, their cores' memory system), and lane 0's
+// TLB serves the whole batch (DESIGN.md §14, "Shared front end").
 package sim
 
 import (
@@ -151,14 +147,15 @@ type soaSweep struct {
 	logs []*frontLog
 	taps []frontTap
 
-	// Core timing state, SoA: lane i's retire ring is
-	// ring[ringOff[i]:ringOff[i+1]] (stride = that lane's ROB size); the
-	// stall and chase-chain slabs use fixed strides.
-	ring    []uint64
-	ringOff []int
-	stall   []uint64 // cpu.StallRingSize per lane
-	chain   []uint64 // cpu.ChainDenseSlots per lane
-	results []cpu.Result
+	// Shared front end, follower side: replays[i] is follower lane i's
+	// memory system (unused for leaders).
+	replays []frontReplay
+
+	// cores[i] is lane i's timing model. Its rings live in slabs: lane
+	// i's retire ring is a cfgs[i].Core.ROB-long segment of one slab,
+	// its stall ring is one element of another, and its chase table is
+	// a fixed-stride segment of a third.
+	cores []cpu.Core
 }
 
 // newSoaSweep builds every lane's machinery over shared slabs for the
@@ -214,11 +211,11 @@ func newSoaSweep(ctx context.Context, cfgs []Config, seed int64, buf *replay.Buf
 	s.l1Caches = make([]cache.Cache, len(leaders))
 	s.llcCaches = make([]cache.Cache, n)
 	s.l2s = make([]cache.Cache, nL2)
-	s.ring = make([]uint64, ringLen)
-	s.ringOff = make([]int, n+1)
-	s.stall = make([]uint64, n*cpu.StallRingSize)
-	s.chain = make([]uint64, n*cpu.ChainDenseSlots)
-	s.results = make([]cpu.Result, n)
+	s.replays = make([]frontReplay, n)
+	s.cores = make([]cpu.Core, n)
+	ring := make([]uint64, ringLen)
+	stall := make([][cpu.StallRingSize]uint64, n)
+	chain := make([]uint64, n*cpu.ChainDenseSlots)
 	s.tlb = *tlb.New(tcfg)
 
 	// Second pass: carve, in lane order. A follower's hierarchy points
@@ -289,10 +286,16 @@ func newSoaSweep(ctx context.Context, cfgs []Config, seed int64, buf *replay.Buf
 			}
 			s.hs[i].tap = &s.taps[i]
 		}
-		s.ringOff[i] = ro
+		var mem cpu.MemSystem = &s.hs[i]
+		if l := s.lead[i]; l != i {
+			// The leader has a lower lane index, so its log exists.
+			s.replays[i] = frontReplay{h: &s.hs[i], log: s.logs[l]}
+			mem = &s.replays[i]
+		}
+		s.cores[i].Init(cfg.Core, mem, ring[ro:ro+cfg.Core.ROB], &stall[i],
+			chain[i*cpu.ChainDenseSlots:(i+1)*cpu.ChainDenseSlots])
 		ro += cfg.Core.ROB
 	}
-	s.ringOff[n] = ro
 	return s, nil
 }
 
@@ -380,22 +383,26 @@ func (t *frontTap) front(tl *tlb.TLB, rec *trace.Record, r *core.Result, victim 
 	return penalty
 }
 
-// frontReplay is a following lane's cursor over its leader's log.
+// frontReplay is a following lane's memory system: a cursor over its
+// leader's log plus the lane's own hierarchy, which runs the timed back
+// half of every access.
 type frontReplay struct {
+	h   *Hierarchy
 	log *frontLog
 	k   int // next event
 	vi  int // next victim
 }
 
-// access runs the timed back half of Hierarchy.Access for the next
-// record, whose physical address is pa, on h at cycle now, with the front
-// half's outcome decoded from the log. It returns the load-to-use
-// latency.
+// Access implements cpu.MemSystem: the back half of Hierarchy.Access
+// for the next record on the lane's hierarchy at cycle now, with the
+// front half's outcome decoded from the log. A follower runs after its
+// leader (lanes run in lane order), so the log it reads is complete.
 //
 //sipt:hotpath
-func (p *frontReplay) access(h *Hierarchy, pa memaddr.PAddr, now uint64) int {
+func (p *frontReplay) Access(rec *trace.Record, now uint64) cpu.MemResult {
 	e := p.log.ev[p.k]
 	p.k++
+	h := p.h
 	lat := h.port(now, int(e>>evSlotShift)&evSlotMax) + int(e&evLatMax)
 	if e&evHit == 0 {
 		var victim memaddr.PAddr
@@ -404,45 +411,17 @@ func (p *frontReplay) access(h *Hierarchy, pa memaddr.PAddr, now uint64) int {
 			victim = p.log.victims[p.vi]
 			p.vi++
 		}
-		lat += h.missPath(pa, now+uint64(lat), victim, dirty)
+		lat += h.missPath(rec.PA, now+uint64(lat), victim, dirty)
 	}
-	return lat
+	return cpu.MemResult{Latency: lat}
 }
 
-// runLane makes one lane's whole-trace pass: cpu.Core's step/gapRun/
-// dispatchOne/retire semantics replicated instruction for instruction,
-// with the timing scalars in locals for the entire pass, the rings in
-// this lane's slab segments, and records decoded inline from the packed
-// words. The memory system is the concrete *Hierarchy — no interface
-// dispatch — or, for a follower, its leader's log plus the lane's own
-// back half. A follower runs after its leader (lanes run in lane
-// order), so the log it replays is complete.
+// runLane makes one lane's whole-trace pass: records decoded inline
+// from the packed words, each stepped through the lane's core.
 //
 //sipt:hotpath
 func (s *soaSweep) runLane(ctx context.Context, lane int, words []uint64) error {
-	ccfg := s.cfgs[lane].Core
-	h := &s.hs[lane]
-	// A follower replays its leader's front half; a leader runs
-	// Hierarchy.Access, whose tap records it.
-	var rp frontReplay
-	replaying := s.lead[lane] != lane
-	if replaying {
-		rp.log = s.logs[s.lead[lane]]
-	}
-	ring := s.ring[s.ringOff[lane]:s.ringOff[lane+1]]
-	stall := s.stall[lane*cpu.StallRingSize : (lane+1)*cpu.StallRingSize]
-	chain := s.chain[lane*cpu.ChainDenseSlots : (lane+1)*cpu.ChainDenseSlots]
-	// chainMap is the cold fallback for PCs outside the dense synthetic
-	// window; packed traces rarely reach it (their PCs fit 18 bits).
-	var chainMap map[uint64]uint64
-
-	width, rob := ccfg.Width, ccfg.ROB
-	inOrder, hide, stallCap := ccfg.InOrder, ccfg.HideLatency, ccfg.StallCap
-	stallOn := inOrder || stallCap > 0
-
-	var d, r, ins uint64 // dispatch cycle, last retire cycle, instruction index
-	var u, ri int        // dispatch slots used this cycle, retire-ring index
-	var loads, stores uint64
+	c := &s.cores[lane]
 	var rec trace.Record
 	var n uint64
 	for w := 0; w+1 < len(words); w += 2 {
@@ -454,160 +433,7 @@ func (s *soaSweep) runLane(ctx context.Context, lane int, words []uint64) error 
 		}
 		n++
 		replay.UnpackRecord(words[w], words[w+1], &rec)
-
-		// Non-memory gap instructions: unit latency (cpu.Core.gapRun).
-		//siptlint:allow ctxflow: gap burst is uint16-bounded; the enclosing record loop polls every CtxCheckInterval
-		for g := uint16(0); g < rec.Gap; g++ {
-			if floor := ring[ri]; floor > d {
-				d = floor
-				u = 0
-			}
-			if stallOn {
-				slot := ins % cpu.StallRingSize
-				if ready := stall[slot]; ready != 0 {
-					if ready > d {
-						d = ready
-						u = 0
-					}
-					stall[slot] = 0
-				}
-			}
-			at := d
-			u++
-			if u >= width {
-				d++
-				u = 0
-			}
-			completion := at + 1
-			if completion < r {
-				completion = r
-			}
-			ring[ri] = completion
-			ri++
-			if ri == rob {
-				ri = 0
-			}
-			r = completion
-			ins++
-		}
-
-		// The memory access itself (cpu.Core.step): dispatch...
-		if floor := ring[ri]; floor > d {
-			d = floor
-			u = 0
-		}
-		if stallOn {
-			slot := ins % cpu.StallRingSize
-			if ready := stall[slot]; ready != 0 {
-				if ready > d {
-					d = ready
-					u = 0
-				}
-				stall[slot] = 0
-			}
-		}
-		at := d
-		u++
-		if u >= width {
-			d++
-			u = 0
-		}
-
-		if rec.IsStore() {
-			// Stores retire from a write buffer: unit latency for the
-			// core; the hierarchy still sees the access now.
-			stores++
-			if replaying {
-				rp.access(h, rec.PA, at)
-			} else {
-				h.Access(&rec, at)
-			}
-			completion := at + 1
-			if completion < r {
-				completion = r
-			}
-			ring[ri] = completion
-			ri++
-			if ri == rob {
-				ri = 0
-			}
-			r = completion
-			ins++
-			continue
-		}
-
-		loads++
-		issue := at
-		chase := rec.DepDist > 0 && rec.DepDist <= cpu.ChaseDistMax
-		if chase {
-			// Address depends on the previous load of this PC.
-			var ready uint64
-			if idx := (rec.PC - cpu.ChainBase) >> 2; idx < cpu.ChainDenseSlots {
-				ready = chain[idx]
-			} else {
-				//siptlint:allow hotalloc: cold fallback, reached only by traces with PCs outside the dense window
-				ready = chainMap[rec.PC]
-			}
-			if ready > issue {
-				issue = ready
-			}
-		}
-		var lat int
-		if replaying {
-			lat = rp.access(h, rec.PA, issue)
-		} else {
-			lat = h.Access(&rec, issue).Latency
-		}
-		completion := issue + uint64(lat)
-		if chase {
-			if idx := (rec.PC - cpu.ChainBase) >> 2; idx < cpu.ChainDenseSlots {
-				chain[idx] = completion
-			} else {
-				if chainMap == nil {
-					//siptlint:allow hotalloc: cold fallback, reached only by traces with PCs outside the dense window
-					chainMap = make(map[uint64]uint64)
-				}
-				//siptlint:allow hotalloc: cold fallback, reached only by traces with PCs outside the dense window
-				chainMap[rec.PC] = completion
-			}
-		}
-
-		// Consumer stall (see cpu.Core.step for the policy rationale).
-		stallAt := completion
-		apply := inOrder
-		if !apply && stallCap > 0 {
-			apply = true
-			exposed := lat
-			if exposed > stallCap {
-				exposed = stallCap
-			}
-			exposed -= hide
-			if exposed <= 0 {
-				apply = false
-			} else {
-				stallAt = issue + uint64(exposed)
-			}
-		}
-		if apply {
-			slot := (ins + uint64(rec.DepDist)) % cpu.StallRingSize
-			if stallAt > stall[slot] {
-				stall[slot] = stallAt
-			}
-		}
-		if completion < r {
-			completion = r
-		}
-		ring[ri] = completion
-		ri++
-		if ri == rob {
-			ri = 0
-		}
-		r = completion
-		ins++
+		c.StepPtr(&rec)
 	}
-
-	// ins counts every retired instruction, exactly like cpu.Core's
-	// res.Instructions; the final retire cycle is the lane's cycle count.
-	s.results[lane] = cpu.Result{Instructions: ins, Cycles: r, Loads: loads, Stores: stores}
 	return nil
 }

@@ -6,15 +6,13 @@
 // Macsim trace generator plus Linux pagemap/kpageflags (PC, VA, PA, and
 // page flags for every access).
 //
-// Traces can be consumed streamingly from a generator (no
-// materialisation) or round-tripped through a compact binary encoding.
+// Traces are consumed streamingly from a generator (no
+// materialisation); the on-disk format is internal/tracefile's packed
+// .sipt file.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 
 	"sipt/internal/memaddr"
@@ -59,12 +57,6 @@ type Reader interface {
 	Next() (Record, error)
 }
 
-// Resetter is implemented by readers that can rewind to the beginning
-// (the multicore harness recycles traces until the last core finishes).
-type Resetter interface {
-	Reset()
-}
-
 // InPlaceReader is an optional Reader fast path: NextInto writes the
 // next record into *rec instead of returning it, sparing the per-record
 // copy on return. Semantics are otherwise identical to Next (io.EOF at
@@ -92,7 +84,7 @@ func (s *SliceReader) Next() (Record, error) {
 	return r, nil
 }
 
-// Reset implements Resetter.
+// Reset rewinds to the first record.
 func (s *SliceReader) Reset() { s.pos = 0 }
 
 // Len returns the total number of records.
@@ -112,96 +104,6 @@ func Collect(r Reader, max int) ([]Record, error) {
 		out = append(out, rec)
 	}
 	return out, nil
-}
-
-// Binary file format: magic, version, then fixed-size little-endian
-// records.
-var magic = [4]byte{'S', 'I', 'P', 'T'}
-
-const formatVersion = 1
-
-// recordSize is the on-disk size of one encoded record.
-const recordSize = 8 + 8 + 8 + 2 + 1 + 1
-
-// Writer encodes records to an io.Writer.
-type Writer struct {
-	w     *bufio.Writer
-	count uint64
-}
-
-// NewWriter writes a trace header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	if err := bw.WriteByte(formatVersion); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Write appends one record.
-func (w *Writer) Write(r Record) error {
-	var buf [recordSize]byte
-	binary.LittleEndian.PutUint64(buf[0:], r.PC)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(r.VA))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(r.PA))
-	binary.LittleEndian.PutUint16(buf[24:], r.Gap)
-	buf[26] = r.DepDist
-	buf[27] = r.Flags
-	if _, err := w.w.Write(buf[:]); err != nil {
-		return err
-	}
-	w.count++
-	return nil
-}
-
-// Count returns the number of records written.
-func (w *Writer) Count() uint64 { return w.count }
-
-// Flush flushes buffered output. Must be called before closing the
-// underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// FileReader decodes a binary trace stream.
-type FileReader struct {
-	r *bufio.Reader
-}
-
-// NewFileReader validates the header and returns a Reader.
-func NewFileReader(r io.Reader) (*FileReader, error) {
-	br := bufio.NewReader(r)
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if [4]byte(hdr[:4]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", hdr[:4])
-	}
-	if hdr[4] != formatVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr[4])
-	}
-	return &FileReader{r: br}, nil
-}
-
-// Next implements Reader.
-func (f *FileReader) Next() (Record, error) {
-	var buf [recordSize]byte
-	if _, err := io.ReadFull(f.r, buf[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Record{}, fmt.Errorf("trace: truncated record: %w", err)
-		}
-		return Record{}, err
-	}
-	return Record{
-		PC:      binary.LittleEndian.Uint64(buf[0:]),
-		VA:      memaddr.VAddr(binary.LittleEndian.Uint64(buf[8:])),
-		PA:      memaddr.PAddr(binary.LittleEndian.Uint64(buf[16:])),
-		Gap:     binary.LittleEndian.Uint16(buf[24:]),
-		DepDist: buf[26],
-		Flags:   buf[27],
-	}, nil
 }
 
 // Limit wraps r so that at most n records are produced.

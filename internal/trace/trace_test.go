@@ -1,13 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"sipt/internal/memaddr"
 )
@@ -84,94 +81,6 @@ func randomRecords(n int, seed int64) []Record {
 		}
 	}
 	return recs
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	recs := randomRecords(1000, 11)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Count() != 1000 {
-		t.Errorf("Count = %d, want 1000", w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := NewFileReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(fr, 0)
-	if err != nil && !errors.Is(err, io.EOF) {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestCodecRoundTripProperty(t *testing.T) {
-	f := func(pc uint64, va, pa uint64, gap uint16, dep, flags uint8) bool {
-		rec := Record{PC: pc, VA: memaddr.VAddr(va), PA: memaddr.PAddr(pa),
-			Gap: gap, DepDist: dep, Flags: flags}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		if w.Write(rec) != nil || w.Flush() != nil {
-			return false
-		}
-		fr, err := NewFileReader(&buf)
-		if err != nil {
-			return false
-		}
-		got, err := fr.Next()
-		return err == nil && got == rec
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFileReaderBadMagic(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("XXXX\x01"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
-func TestFileReaderBadVersion(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("SIPT\x7f"))); err == nil {
-		t.Error("bad version accepted")
-	}
-}
-
-func TestFileReaderShortHeader(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("SI"))); err == nil {
-		t.Error("short header accepted")
-	}
-}
-
-func TestFileReaderTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Write(Record{PC: 42})
-	w.Flush()
-	data := buf.Bytes()[:buf.Len()-3] // chop the last record
-	fr, err := NewFileReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fr.Next(); err == nil {
-		t.Error("truncated record not detected")
-	}
 }
 
 func TestLimit(t *testing.T) {

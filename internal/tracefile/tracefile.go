@@ -59,9 +59,9 @@ const (
 	ChunkHeaderSize     = 16
 	DefaultChunkRecords = 4096
 
-	// MagicLen is the length of the file magic; Sniff needs this many
+	// magicLen is the length of the file magic; Sniff needs this many
 	// leading bytes to classify a file.
-	MagicLen = 8
+	magicLen = 8
 
 	maxAppLen      = 255
 	maxChunkRecs   = 1 << 20 // 16 MiB payload per chunk, ample
@@ -69,7 +69,7 @@ const (
 	headerCRCStart = 60
 )
 
-var magic = [MagicLen]byte{'S', 'I', 'P', 'T', 'R', 'C', '\r', '\n'}
+var magic = [magicLen]byte{'S', 'I', 'P', 'T', 'R', 'C', '\r', '\n'}
 
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
 // amd64/arm64 via the stdlib).
@@ -91,11 +91,11 @@ type Meta struct {
 	Records  uint64      `json:"records"`
 }
 
-// Sniff reports whether b (at least the first MagicLen bytes of a
+// Sniff reports whether b (at least the first magicLen bytes of a
 // stream) begins with the trace-file magic. Shorter slices report
 // false.
 func Sniff(b []byte) bool {
-	return len(b) >= MagicLen && string(b[:MagicLen]) == string(magic[:])
+	return len(b) >= magicLen && string(b[:magicLen]) == string(magic[:])
 }
 
 // pad16 rounds n up to a 16-byte boundary.

@@ -219,8 +219,8 @@ func TestRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestSniff pins the magic-based classification used by siptsim and
-// tracegen -inspect to tell the two on-disk formats apart.
+// TestSniff pins the magic check every reader runs first: it accepts a
+// valid file and rejects truncated or look-alike prefixes.
 func TestSniff(t *testing.T) {
 	meta := tracefile.Meta{App: "mcf", Scenario: vm.ScenarioNormal, Seed: 1}
 	enc, err := tracefile.Encode(meta, materialize(t, meta.App, meta.Scenario, meta.Seed, 100))

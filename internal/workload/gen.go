@@ -38,8 +38,8 @@ type stream struct {
 }
 
 // Generator produces the access trace for one profile, streamingly.
-// It implements trace.Reader and trace.Resetter (Reset regenerates the
-// identical stream: same seed, same address space).
+// It implements trace.Reader; Reset regenerates the identical stream
+// (same seed, same address space).
 type Generator struct {
 	prof  Profile
 	sys   *vm.System

@@ -14,9 +14,11 @@ tmpdir=$(mktemp -d)
 daemon="$tmpdir/siptd"
 outlog="$tmpdir/siptd.log"
 
-# fig6 over two apps is 3 configs x 2 apps = 6 lanes; the record count
-# keeps a single worker busy long enough to land a SIGKILL between the
-# first checkpoint and the last lane.
+# fig6 over two apps is 3 configs x 2 apps = 6 lanes. The victim daemon
+# runs with the serve.checkpoint.hold fault point armed: its sweep holds
+# right after journaling its first lane checkpoint, so the SIGKILL lands
+# between the first checkpoint and the last lane however fast the host
+# simulates. The reference and revived daemons run unarmed.
 sweep_body='{"experiment":"fig6","apps":["mcf","libquantum"],"records":500000}'
 total_lanes=6
 
@@ -32,11 +34,13 @@ trap cleanup EXIT INT TERM
 echo '== crash-smoke: build siptd'
 go build -o "$daemon" ./cmd/siptd
 
-# start_daemon STOREDIR JNLDIR boots siptd over the given directories
-# and parses the ephemeral address from its startup log.
+# start_daemon STOREDIR JNLDIR [FLAGS...] boots siptd over the given
+# directories and parses the ephemeral address from its startup log.
 start_daemon() {
     : >"$outlog"
-    "$daemon" -addr 127.0.0.1:0 -workers 1 -store-dir "$1" -journal-dir "$2" >"$outlog" &
+    store=$1 jnl=$2
+    shift 2
+    "$daemon" -addr 127.0.0.1:0 -workers 1 -store-dir "$store" -journal-dir "$jnl" "$@" >"$outlog" &
     pid=$!
     addr=''
     i=0
@@ -102,26 +106,26 @@ wait_done "$id" >"$tmpdir/ref.json"
 stop_daemon
 
 echo '== crash-smoke: victim run, SIGKILL mid-sweep'
-start_daemon "$tmpdir/store" "$tmpdir/jnl"
+start_daemon "$tmpdir/store" "$tmpdir/jnl" -faults serve.checkpoint.hold:1/1
 id=$(curl -fsS -X POST "http://$addr/v1/sweep" -d "$sweep_body" | jq -r .id)
 if [ "$id" != job-1 ]; then
     echo "crash-smoke: first admission got id $id, want job-1" >&2
     exit 1
 fi
 # Wait for at least one lane checkpoint while the sweep is still
-# running, then pull the plug. store_puts_total counts lane blobs plus
-# at most one materialised trace per app (2 here), so >= 3 puts
-# guarantees at least one lane reached the store.
+# running, then pull the plug. The job's first two journal records are
+# its admission and its start; every later one is a lane checkpoint, so
+# >= 3 appends guarantees at least one lane reached the store.
 killed=''
 i=0
 while [ $i -lt 1200 ]; do
-    puts=$(metric store_puts_total)
+    appends=$(metric journal_appends_total)
     status=$(curl -fsS "http://$addr/v1/jobs/$id" | jq -r .status)
     if [ "$status" = done ]; then
-        echo 'crash-smoke: sweep finished before the kill window; raise records in sweep_body' >&2
+        echo 'crash-smoke: sweep finished before the kill window; the checkpoint hold did not engage' >&2
         exit 1
     fi
-    if [ "${puts:-0}" -ge 3 ]; then
+    if [ "${appends:-0}" -ge 3 ]; then
         kill -KILL "$pid"
         wait "$pid" 2>/dev/null || true
         killed=yes
@@ -135,7 +139,7 @@ if [ -z "$killed" ]; then
     cat "$outlog" >&2
     exit 1
 fi
-echo "== crash-smoke: killed -9 after $puts store puts (>= 1 lane checkpointed)"
+echo "== crash-smoke: killed -9 after $appends journal appends (>= 1 lane checkpointed)"
 
 echo '== crash-smoke: restart over the same journal and store'
 start_daemon "$tmpdir/store" "$tmpdir/jnl"
