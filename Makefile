@@ -88,12 +88,14 @@ chaos:
 	$(GO) test -race -short -run 'TestChaos' ./internal/fabric/
 
 # Native Go fuzzing over the pure bit-math and allocator invariants,
-# plus the lint loader/dataflow stack on generated Go sources.
+# the memo cache's budget and singleflight invariants, plus the lint
+# loader/dataflow stack on generated Go sources.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIndexDelta -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzUnchangedBits -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzAlignAndLog2 -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzBuddy -fuzztime=$(FUZZTIME) ./internal/vm/
+	$(GO) test -run='^$$' -fuzz=FuzzCache -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzLoader -fuzztime=$(FUZZTIME) ./internal/lint/
 	$(GO) test -run='^$$' -fuzz=FuzzReadBuffer -fuzztime=$(FUZZTIME) ./internal/tracefile/
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalRoundTrip -fuzztime=$(FUZZTIME) ./internal/store/

@@ -50,14 +50,9 @@ type Options struct {
 	// bound; one-shot CLI runs never reach it.
 	CacheEntries int
 	// TracePoolMB bounds the shared materialised-trace pool in MiB (0 =
-	// replay.DefaultBudgetBytes). Like CacheEntries it is fixed at
+	// 256 MiB, defaultTracePoolBytes). Like CacheEntries it is fixed at
 	// construction; WithOptions views ignore it.
 	TracePoolMB int
-	// LiveGen disables trace materialisation: every run streams from a
-	// live generator, as before the replay engine. Results are identical
-	// either way (the golden and fused-equality tests depend on it);
-	// the switch trades the pool's memory for repeated generation.
-	LiveGen bool
 	// Remote, when non-nil, offloads simulation batches to a fleet (the
 	// fabric coordinator). Like CacheEntries it is fixed at
 	// construction and shared by every derived view; the field in a
@@ -106,10 +101,12 @@ func (o Options) workers() int {
 // leak results.
 type runnerShared struct {
 	cache *memo.Cache[sim.Stats]
-	// traces holds materialised record buffers, shared the same way:
-	// byte-budgeted, singleflight, one entry per (app, scenario, seed,
-	// records).
-	traces *replay.Pool
+	// traces holds materialised record buffers, shared the same way but
+	// priced in bytes: one entry per (app, scenario, seed, records).
+	traces *memo.Cache[*replay.Buffer]
+	// maxTraceBytes is the largest buffer traces can retain, one shard's
+	// budget; longer traces stream live (see Runner.buffer).
+	maxTraceBytes int64
 	// remote, when non-nil, receives every uncached config batch
 	// instead of the local simulator (Options.Remote; fixed at
 	// construction so all derived views dispatch consistently).
@@ -119,10 +116,22 @@ type runnerShared struct {
 	store *store.Store
 	sims  atomic.Uint64
 	// degraded counts runs that fell back to live generation because the
-	// trace pool could not serve them (byte budget, eviction storm) —
-	// the graceful-degradation ladder's observable step.
+	// trace pool declined them (byte budget, eviction storm) — the
+	// graceful-degradation ladder's observable step. oversize counts the
+	// byte-budget share of them.
 	degraded atomic.Uint64
+	oversize atomic.Uint64
 }
+
+// defaultTracePoolBytes bounds the trace pool when Options.TracePoolMB
+// is 0: 256 MiB holds the full 26-app figure set at DefaultRecords
+// (26 x 300k x 16 B = 125 MiB) with headroom for a second scenario.
+const defaultTracePoolBytes = 256 << 20
+
+// tracePoolShards balances lock contention against budget granularity:
+// buffers are megabytes each, so a few shards suffice. At the default
+// budget a shard retains traces of up to 32 MiB (2 Mi records).
+const tracePoolShards = 8
 
 // Runner executes simulations with memoisation, so figures sharing runs
 // (e.g. Fig. 6/7 and Fig. 13/14 share baselines) pay once — including
@@ -143,27 +152,17 @@ type Runner struct {
 // from disk (checksum- and identity-verified) before regenerating, and
 // fresh materialisations are persisted for the next process.
 func NewRunner(opts Options) *Runner {
-	sh := &runnerShared{
-		cache:  memo.New[sim.Stats](opts.CacheEntries, 0),
-		remote: opts.Remote,
-		store:  opts.Store,
+	budget := int64(opts.TracePoolMB) << 20
+	if budget <= 0 {
+		budget = defaultTracePoolBytes
 	}
-	sh.traces = replay.NewPool(int64(opts.TracePoolMB)<<20, 0, func(k replay.Key) (*replay.Buffer, error) {
-		if sh.store != nil {
-			if buf, ok := loadStoredTrace(sh.store, k); ok {
-				return buf, nil
-			}
-		}
-		prof, err := workload.Lookup(k.App)
-		if err != nil {
-			return nil, err
-		}
-		buf, err := sim.Materialize(prof, k.Scenario, k.Seed, k.Records)
-		if err == nil && sh.store != nil {
-			saveStoredTrace(sh.store, k, buf)
-		}
-		return buf, err
-	})
+	sh := &runnerShared{
+		cache:         memo.New[sim.Stats](int64(opts.CacheEntries), 0, nil),
+		traces:        memo.New(budget, tracePoolShards, (*replay.Buffer).Bytes),
+		maxTraceBytes: budget / tracePoolShards,
+		remote:        opts.Remote,
+		store:         opts.Store,
+	}
 	return &Runner{opts: opts, sh: sh}
 }
 
@@ -209,10 +208,11 @@ func (r *Runner) WithCheckpoint(fn func(store.Key)) *Runner {
 func (r *Runner) WithFreshCache() *Runner {
 	r2 := *r
 	r2.sh = &runnerShared{
-		cache:  memo.New[sim.Stats](r.opts.CacheEntries, 0),
-		traces: r.sh.traces,
-		remote: r.sh.remote,
-		store:  r.sh.store,
+		cache:         memo.New[sim.Stats](int64(r.opts.CacheEntries), 0, nil),
+		traces:        r.sh.traces,
+		maxTraceBytes: r.sh.maxTraceBytes,
+		remote:        r.sh.remote,
+		store:         r.sh.store,
 	}
 	return &r2
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"sipt/internal/fault"
+	"sipt/internal/memo"
 	"sipt/internal/replay"
 	"sipt/internal/sim"
 	"sipt/internal/store"
@@ -12,76 +14,103 @@ import (
 	"sipt/internal/workload"
 )
 
-// errLiveGen marks a runner whose options disable trace materialisation
-// (Options.LiveGen); replay-aware paths treat it like ErrUnpackable and
-// stream from live generators instead.
-var errLiveGen = errors.New("exp: live generation requested")
+// evictStorm is the trace pool's injection point, named
+// replay.pool.evict so existing fault specs keep working: armed (e.g.
+// "replay.pool.evict:1/64"), a seeded fraction of trace lookups are
+// declined as if the buffer had been evicted under pressure, and the
+// run streams live instead of failing.
+var evictStorm = fault.NewPoint("replay.pool.evict")
 
-// errPoolOversize marks a trace too large for the pool to retain under
-// its byte budget: replaying it would regenerate on every request, so
-// the run degrades to live generation (counted — see noteDegraded).
-var errPoolOversize = errors.New("exp: trace exceeds the pool's retainable size")
+// errPoolDeclined means the trace pool declined a trace: it is longer
+// than a shard can retain, or an eviction storm hit the lookup. The run
+// streams from a live generator instead (counted — see noteDegraded).
+var errPoolDeclined = errors.New("exp: trace pool declined the trace")
 
-// poolKey is the trace-pool key for one (app, scenario) under the
-// runner's current options. Records and seed are in the key, so derived
-// views (WithOptions) sharing one pool never alias.
-func (r *Runner) poolKey(app string, sc vm.Scenario) replay.Key {
-	return replay.Key{App: app, Scenario: sc, Seed: r.opts.Seed, Records: r.opts.records()}
+// traceKey identifies one materialised trace: the tuple that fully
+// determines a synthetic record stream. Distinct seeds, lengths, or
+// scenarios never alias.
+type traceKey struct {
+	App      string
+	Scenario vm.Scenario
+	Seed     int64
+	Records  uint64
+}
+
+// poolKey is the trace key for one (app, scenario) under the runner's
+// current options. Records and seed are in the key, so derived views
+// (WithOptions) sharing one pool never alias.
+func (r *Runner) poolKey(app string, sc vm.Scenario) traceKey {
+	return traceKey{App: app, Scenario: sc, Seed: r.opts.Seed, Records: r.opts.records()}
+}
+
+// materialize builds k's buffer on a trace-pool miss: revived from the
+// store when one is configured, else generated and persisted for the
+// next process.
+func (sh *runnerShared) materialize(k traceKey) (*replay.Buffer, error) {
+	if sh.store != nil {
+		if buf, ok := loadStoredTrace(sh.store, k); ok {
+			return buf, nil
+		}
+	}
+	prof, err := workload.Lookup(k.App)
+	if err != nil {
+		return nil, err
+	}
+	buf, err := sim.Materialize(prof, k.Scenario, k.Seed, k.Records)
+	if err == nil && sh.store != nil {
+		saveStoredTrace(sh.store, k, buf)
+	}
+	return buf, err
 }
 
 // buffer returns the shared materialised trace for (app, sc), building
-// it on first use. Errors wrapping replay.ErrUnpackable or errLiveGen
-// mean "stream live instead"; anything else is a real failure.
+// it on first use. errPoolDeclined means "stream live instead"; any
+// other error is a real failure.
 func (r *Runner) buffer(app string, sc vm.Scenario) (*replay.Buffer, error) {
-	if r.opts.LiveGen {
-		return nil, errLiveGen
-	}
 	// A trace the pool cannot retain would be rebuilt on every request —
 	// strictly worse than live generation (which also honours the run's
 	// context mid-trace, where materialisation does not).
-	records := r.opts.records()
-	if records > uint64(r.sh.traces.MaxBufferBytes())/replay.BytesPerRecord {
-		r.sh.traces.NoteOversize()
-		return nil, errPoolOversize
+	if r.oversize() || evictStorm.Fire() {
+		return nil, errPoolDeclined
 	}
-	return r.sh.traces.Get(r.poolKey(app, sc))
+	k := r.poolKey(app, sc)
+	return r.sh.traces.Do(fmt.Sprintf("%+v", k), func() (*replay.Buffer, error) {
+		return r.sh.materialize(k)
+	})
 }
 
-// useLive reports whether err is one of the deliberate
-// fall-back-to-live-generation conditions: an explicit LiveGen request,
-// a scenario the packed format cannot express, or graceful degradation
-// (byte-budget overflow, an eviction storm).
-func useLive(err error) bool {
-	return errors.Is(err, replay.ErrUnpackable) || errors.Is(err, errLiveGen) ||
-		errors.Is(err, errPoolOversize) || errors.Is(err, replay.ErrEvicted)
+// oversize reports whether the runner's traces are too long for a pool
+// shard to retain.
+func (r *Runner) oversize() bool {
+	return r.opts.records() > uint64(r.sh.maxTraceBytes)/replay.BytesPerRecord
 }
 
-// noteDegraded counts live-generation fallbacks that are *degradations*
-// — the pool wanted to serve the trace but could not (byte budget,
-// eviction storm) — as opposed to deliberate choices (Options.LiveGen)
-// or structural impossibility (ErrUnpackable). The daemon exposes the
-// count as serve_degraded_runs_total.
-func (r *Runner) noteDegraded(err error) {
-	if errors.Is(err, errPoolOversize) || errors.Is(err, replay.ErrEvicted) {
-		r.sh.degraded.Add(1)
+// noteDegraded counts one run (or raw-trace drain) streamed live
+// because the pool declined its trace. The daemon exposes the count as
+// serve_degraded_runs_total, and the byte-budget share of it in
+// replay_pool_oversize_total.
+func (r *Runner) noteDegraded() {
+	r.sh.degraded.Add(1)
+	if r.oversize() {
+		r.sh.oversize.Add(1)
 	}
 }
 
 // traceReader returns (app, sc)'s record stream under the runner's
-// options: a cursor over the pooled buffer when materialisation is
-// available, else a fresh live generator producing the identical
-// records. Figures that analyse raw traces (Fig. 5, the predictor
-// ablations) drain this instead of constructing generators by hand, so
-// they too share one materialisation per app.
+// options: a cursor over the pooled buffer when the pool holds it, else
+// a fresh live generator producing the identical records. Figures that
+// analyse raw traces (Fig. 5, the predictor ablations) drain this
+// instead of constructing generators by hand, so they too share one
+// materialisation per app.
 func (r *Runner) traceReader(app string, sc vm.Scenario) (trace.Reader, error) {
 	buf, err := r.buffer(app, sc)
 	if err == nil {
 		return buf.Cursor(), nil
 	}
-	if !useLive(err) {
+	if !errors.Is(err, errPoolDeclined) {
 		return nil, err
 	}
-	r.noteDegraded(err)
+	r.noteDegraded()
 	prof, err := workload.Lookup(app)
 	if err != nil {
 		return nil, err
@@ -106,8 +135,8 @@ func (r *Runner) runLive(app string, cfg sim.Config, sc vm.Scenario) (sim.Stats,
 
 // runUncached executes one simulation, preferring replay from the
 // shared trace pool (generation paid once per app, not once per config)
-// and falling back to a live generator when materialisation is
-// unavailable. Replay reproduces the live run bit-for-bit (see
+// and falling back to a live generator when the pool declines the
+// trace. Replay reproduces the live run bit-for-bit (see
 // internal/sim TestRunBufferMatchesRunApp), so the two paths are
 // interchangeable.
 func (r *Runner) runUncached(app string, cfg sim.Config, sc vm.Scenario) (sim.Stats, error) {
@@ -122,11 +151,11 @@ func (r *Runner) runUncached(app string, cfg sim.Config, sc vm.Scenario) (sim.St
 		return sts[0], nil
 	}
 	buf, err := r.buffer(app, sc)
+	if errors.Is(err, errPoolDeclined) {
+		r.noteDegraded()
+		return r.runLive(app, cfg, sc)
+	}
 	if err != nil {
-		if useLive(err) {
-			r.noteDegraded(err)
-			return r.runLive(app, cfg, sc)
-		}
 		return sim.Stats{}, err
 	}
 	st, err := sim.RunBuffer(r.ctx, app, buf, cfg, r.opts.Seed)
@@ -227,30 +256,26 @@ func (r *Runner) RunConfigs(app string, cfgs []sim.Config, sc vm.Scenario) ([]si
 	}
 
 	buf, err := r.buffer(app, sc)
-	if err != nil {
-		if useLive(err) {
-			r.noteDegraded(err)
-			// No materialised trace: degrade to memoised solo runs
-			// (each of which probes the store itself).
-			for i := range cfgs {
-				if cached[i] {
-					continue
-				}
-				if out[i], err = r.Run(app, cfgs[i], sc); err != nil {
-					return nil, err
-				}
+	var fresh []sim.Stats
+	switch {
+	case errors.Is(err, errPoolDeclined):
+		// No materialised trace: stream each config live.
+		fresh = make([]sim.Stats, len(todo))
+		for j, cfg := range todo {
+			r.noteDegraded()
+			if fresh[j], err = r.runLive(app, cfg, sc); err != nil {
+				return nil, err
 			}
-			return out, nil
 		}
+	case err != nil:
 		return nil, err
-	}
-
-	fused, err := sim.RunConfigs(r.ctx, app, buf, todo, r.opts.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("exp: fused %s/%s (%d configs): %w", app, sc, len(todo), err)
+	default:
+		if fresh, err = sim.RunConfigs(r.ctx, app, buf, todo, r.opts.Seed); err != nil {
+			return nil, fmt.Errorf("exp: fused %s/%s (%d configs): %w", app, sc, len(todo), err)
+		}
 	}
 	r.sh.sims.Add(uint64(len(todo)))
-	persist(fused)
+	persist(fresh)
 	return r.publish(out, keys, cached, uniqAt, all)
 }
 
@@ -275,6 +300,18 @@ func (r *Runner) publish(out []sim.Stats, keys []string, cached []bool,
 	return out, nil
 }
 
+// TracePoolStats is the trace pool's memo.Stats, whose cost unit is
+// bytes. Oversize also counts runs streamed live because their trace
+// was too long to ask the pool for.
+type TracePoolStats struct {
+	memo.Stats
+	Bytes int64 // resident payload bytes (Stats.Cost)
+}
+
 // TraceStats snapshots the shared trace pool counters for the daemon's
 // /metrics endpoint.
-func (r *Runner) TraceStats() replay.Stats { return r.sh.traces.Stats() }
+func (r *Runner) TraceStats() TracePoolStats {
+	st := r.sh.traces.Stats()
+	st.Oversize += r.sh.oversize.Load()
+	return TracePoolStats{Stats: st, Bytes: st.Cost}
+}

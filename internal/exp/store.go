@@ -92,7 +92,7 @@ func (r *Runner) storePut(key store.Key, st sim.Stats) {
 // views sharing one store never alias.
 //
 //sipt:memokey
-func storedTraceKey(k replay.Key) store.Key {
+func storedTraceKey(k traceKey) store.Key {
 	return store.KeyOf("trace", "v1", k.App, k.Scenario.String(),
 		strconv.FormatInt(k.Seed, 10), strconv.FormatUint(k.Records, 10))
 }
@@ -101,7 +101,7 @@ func storedTraceKey(k replay.Key) store.Key {
 // store's checksum and the trace file's own header and chunk CRCs, and
 // cross-checking the embedded metadata against the requested key (a
 // hash collision or a mis-filed blob must not replay the wrong trace).
-func loadStoredTrace(s *store.Store, k replay.Key) (*replay.Buffer, bool) {
+func loadStoredTrace(s *store.Store, k traceKey) (*replay.Buffer, bool) {
 	blob, err := s.Get(storedTraceKey(k))
 	if err != nil {
 		return nil, false
@@ -119,7 +119,7 @@ func loadStoredTrace(s *store.Store, k replay.Key) (*replay.Buffer, bool) {
 }
 
 // saveStoredTrace persists a freshly materialised trace, best-effort.
-func saveStoredTrace(s *store.Store, k replay.Key, buf *replay.Buffer) {
+func saveStoredTrace(s *store.Store, k traceKey, buf *replay.Buffer) {
 	enc, err := tracefile.Encode(tracefile.Meta{App: k.App, Scenario: k.Scenario, Seed: k.Seed}, buf)
 	if err != nil {
 		return

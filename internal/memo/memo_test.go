@@ -16,7 +16,7 @@ import (
 // while keys still resident keep hitting.
 func TestBoundedAcrossManyDistinctKeys(t *testing.T) {
 	const capTotal = 64
-	c := New[int](capTotal, 8)
+	c := New[int](capTotal, 8, nil)
 	var computes atomic.Int64
 	for i := 0; i < 10_000; i++ {
 		v, err := c.Do(fmt.Sprintf("key-%d", i), func() (int, error) {
@@ -61,7 +61,7 @@ func TestBoundedAcrossManyDistinctKeys(t *testing.T) {
 // TestSingleflight verifies concurrent Do calls of one key share a
 // single compute and all observe its value.
 func TestSingleflight(t *testing.T) {
-	c := New[string](16, 2)
+	c := New[string](16, 2, nil)
 	var computes atomic.Int64
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -97,7 +97,7 @@ func TestSingleflight(t *testing.T) {
 // TestErrorsAreNotCached verifies a failed compute is forgotten: the
 // key retries on the next Do instead of replaying the error.
 func TestErrorsAreNotCached(t *testing.T) {
-	c := New[int](16, 2)
+	c := New[int](16, 2, nil)
 	boom := errors.New("boom")
 	calls := 0
 	_, err := c.Do("k", func() (int, error) { calls++; return 0, boom })
@@ -124,7 +124,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 // TestConcurrentDistinctKeys hammers the cache from many goroutines
 // with overlapping key sets (run under -race in CI).
 func TestConcurrentDistinctKeys(t *testing.T) {
-	c := New[int](128, 8)
+	c := New[int](128, 8, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -153,7 +153,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 // TestCapOneShard covers the degenerate geometry: capacity smaller than
 // the shard count must still admit one entry per shard.
 func TestCapOneShard(t *testing.T) {
-	c := New[int](2, 16)
+	c := New[int](2, 16, nil)
 	for i := 0; i < 50; i++ {
 		v, err := c.Do(fmt.Sprintf("k%d", i), func() (int, error) { return i, nil })
 		if err != nil || v != i {
@@ -179,7 +179,7 @@ func TestInjectedComputeFaultNotCached(t *testing.T) {
 	}
 	t.Cleanup(fault.Disarm)
 
-	c := New[int](16, 2)
+	c := New[int](16, 2, nil)
 	calls := 0
 	_, err = c.Do("k", func() (int, error) { calls++; return 7, nil })
 	if err == nil || !fault.IsTransient(err) {
@@ -215,7 +215,7 @@ func TestSingleflightUnderInjectedFaults(t *testing.T) {
 	}
 	t.Cleanup(fault.Disarm)
 
-	c := New[int](32, 4)
+	c := New[int](32, 4, nil)
 	var wg sync.WaitGroup
 	var transientSeen, okSeen atomic.Int64
 	for g := 0; g < 16; g++ {

@@ -1,6 +1,6 @@
 // Package replay materialises workload traces once into packed,
-// cache-friendly flat buffers and shares them through a byte-budgeted
-// pool, so that sweep-shaped experiments — many cache geometries over
+// cache-friendly flat buffers, which internal/exp shares through a
+// byte-priced memo.Cache, so that sweep-shaped experiments — many cache geometries over
 // the same application trace, the shape of Figs. 6-18 — pay trace
 // generation once per (app, scenario, seed, length) instead of once per
 // configuration. This is the single-pass multi-configuration replay
@@ -12,9 +12,8 @@
 // physical page offsets are equal by construction, program counters of
 // synthetic traces live in a small dense window above 0x400000, and
 // gap/dependence/flag fields are narrow. Records that do not fit —
-// replayed real traces with arbitrary PCs, or addresses beyond 48 bits
-// — fail packing with ErrUnpackable, and callers fall back to live
-// generation; nothing is silently truncated.
+// real traces with arbitrary PCs, or addresses beyond 48 bits — fail
+// packing with ErrUnpackable; nothing is silently truncated.
 //
 // Decoding is the per-record hot path of every fused sweep: a Cursor
 // reads two words and reassembles the record with shifts and masks,
@@ -32,8 +31,8 @@ import (
 )
 
 // ErrUnpackable marks a record that does not fit the packed 16-byte
-// encoding. Callers treat it as "materialisation unavailable" and fall
-// back to streaming from a live generator.
+// encoding. Such a trace cannot be materialised or stored as .sipt;
+// readers that must run it stream it record by record instead.
 var ErrUnpackable = errors.New("replay: record does not fit the packed encoding")
 
 // pcBase is the bottom of the synthetic code region

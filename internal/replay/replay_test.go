@@ -2,10 +2,7 @@ package replay_test
 
 import (
 	"errors"
-	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sipt/internal/replay"
@@ -132,162 +129,6 @@ func TestUnpackable(t *testing.T) {
 	}
 	if got != ok {
 		t.Fatalf("maximal record round-trip: got %+v want %+v", got, ok)
-	}
-}
-
-// fakeBuffer builds a buffer of n records (16 bytes each).
-func fakeBuffer(t *testing.T, n int) *replay.Buffer {
-	t.Helper()
-	var b replay.Buffer
-	rec := trace.Record{PC: 0x400000, VA: 0x7f0000001000, PA: 0x1000}
-	for i := 0; i < n; i++ {
-		if err := b.Append(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return &b
-}
-
-// TestPoolSingleflight asserts concurrent Gets of one key share a
-// single materialisation.
-func TestPoolSingleflight(t *testing.T) {
-	var calls atomic.Int64
-	p := replay.NewPool(1<<30, 0, func(k replay.Key) (*replay.Buffer, error) {
-		calls.Add(1)
-		return fakeBuffer(t, 100), nil
-	})
-	key := replay.Key{App: "x", Records: 100}
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf, err := p.Get(key)
-			if err != nil || buf.Len() != 100 {
-				t.Errorf("Get: %v (len %d)", err, buf.Len())
-			}
-		}()
-	}
-	wg.Wait()
-	if calls.Load() != 1 {
-		t.Fatalf("materialised %d times, want 1", calls.Load())
-	}
-	st := p.Stats()
-	if st.Misses != 1 || st.Hits != 31 {
-		t.Fatalf("stats = %+v, want 1 miss / 31 hits", st)
-	}
-}
-
-// TestPoolErrorsNotCached asserts a failed materialisation is retried.
-func TestPoolErrorsNotCached(t *testing.T) {
-	var calls atomic.Int64
-	boom := errors.New("boom")
-	p := replay.NewPool(1<<30, 0, func(k replay.Key) (*replay.Buffer, error) {
-		if calls.Add(1) == 1 {
-			return nil, boom
-		}
-		return fakeBuffer(t, 10), nil
-	})
-	key := replay.Key{App: "x"}
-	if _, err := p.Get(key); !errors.Is(err, boom) {
-		t.Fatalf("first Get: %v, want boom", err)
-	}
-	buf, err := p.Get(key)
-	if err != nil || buf.Len() != 10 {
-		t.Fatalf("second Get: %v", err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("calls = %d, want 2 (error retried)", calls.Load())
-	}
-}
-
-// TestPoolByteBudget hammers a small pool from many goroutines over a
-// keyspace far larger than the budget and asserts the resident byte
-// bound holds at every observation point — the bounded-memory contract
-// the siptd daemon relies on under concurrent sweeps.
-func TestPoolByteBudget(t *testing.T) {
-	const (
-		recsPerBuf  = 256           // 4 KiB per buffer
-		budget      = 64 << 10      // 64 KiB total
-		perShardMax = int64(budget) // global bound equals the sum of shard bounds
-	)
-	p := replay.NewPool(budget, 0, func(k replay.Key) (*replay.Buffer, error) {
-		return fakeBuffer(t, recsPerBuf), nil
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				key := replay.Key{App: fmt.Sprintf("app-%d", (g*31+i)%97), Seed: int64(i % 5)}
-				buf, err := p.Get(key)
-				if err != nil || buf.Len() != recsPerBuf {
-					t.Errorf("Get: %v", err)
-					return
-				}
-				if st := p.Stats(); st.Bytes > perShardMax {
-					t.Errorf("pool bytes %d exceed budget %d", st.Bytes, budget)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := p.Stats()
-	if st.Bytes > budget {
-		t.Fatalf("final pool bytes %d exceed budget %d", st.Bytes, budget)
-	}
-	if st.Entries == 0 || st.Evictions == 0 {
-		t.Fatalf("expected residency and evictions under pressure, got %+v", st)
-	}
-}
-
-// TestPoolOversizedBufferNotRetained asserts a buffer larger than the
-// whole budget is returned to the caller but not kept resident.
-func TestPoolOversizedBufferNotRetained(t *testing.T) {
-	p := replay.NewPool(1<<10, 1, func(k replay.Key) (*replay.Buffer, error) {
-		return fakeBuffer(t, 1024), nil // 16 KiB >> 1 KiB budget
-	})
-	buf, err := p.Get(replay.Key{App: "big"})
-	if err != nil || buf.Len() != 1024 {
-		t.Fatalf("Get: %v", err)
-	}
-	st := p.Stats()
-	if st.Bytes != 0 || st.Entries != 0 {
-		t.Fatalf("oversized buffer retained: %+v", st)
-	}
-	if st.Oversize != 1 {
-		t.Fatalf("oversize drop not counted: %+v", st)
-	}
-	// A second oversize materialisation counts again; a normal-sized
-	// entry does not.
-	if _, err := p.Get(replay.Key{App: "big2"}); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.Oversize != 2 {
-		t.Fatalf("second oversize drop not counted: %+v", st)
-	}
-}
-
-// TestPoolNoteOversize asserts the pre-check hook (callers that skip
-// Get entirely for traces beyond MaxBufferBytes) feeds the same
-// counter, so the formerly silent guard path is observable.
-func TestPoolNoteOversize(t *testing.T) {
-	p := replay.NewPool(1<<20, 1, func(k replay.Key) (*replay.Buffer, error) {
-		return fakeBuffer(t, 1), nil
-	})
-	if st := p.Stats(); st.Oversize != 0 {
-		t.Fatalf("fresh pool reports oversize: %+v", st)
-	}
-	p.NoteOversize()
-	p.NoteOversize()
-	st := p.Stats()
-	if st.Oversize != 2 {
-		t.Fatalf("Oversize = %d, want 2", st.Oversize)
-	}
-	if st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 {
-		t.Fatalf("NoteOversize disturbed other counters: %+v", st)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sipt/internal/exp"
-	"sipt/internal/replay"
 	"sipt/internal/report"
 )
 
@@ -441,7 +440,7 @@ func TestTracePoolBoundedUnderConcurrentSweeps(t *testing.T) {
 }
 
 // rundownStats asserts the pool is within budget and returns its stats.
-func rundownStats(t *testing.T, runner *exp.Runner, budgetMB int64) replay.Stats {
+func rundownStats(t *testing.T, runner *exp.Runner, budgetMB int64) exp.TracePoolStats {
 	t.Helper()
 	st := runner.TraceStats()
 	if st.Bytes > budgetMB<<20 {

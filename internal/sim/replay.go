@@ -16,7 +16,8 @@ import (
 // bit-for-bit. records bounds the trace length (0 = DefaultRecords).
 //
 // Traces whose records do not fit the packed encoding return an error
-// wrapping replay.ErrUnpackable; callers fall back to live generation.
+// wrapping replay.ErrUnpackable. Synthetic data traces always fit
+// (TestEveryTracePacks), so this is an ordinary failure.
 func Materialize(prof workload.Profile, sc vm.Scenario, seed int64, records uint64) (*replay.Buffer, error) {
 	if records == 0 {
 		records = DefaultRecords

@@ -60,7 +60,7 @@ type Generator struct {
 	churnLeft int
 	// meanGap caches 1/MemRatio - 1 (a float divide per record otherwise).
 	meanGap float64
-	pcSeq   uint64 // PC allocator for streams created after churn
+	pcSeq   uint64 // PC allocator: one PC per stream, assigned at setup (churn allocates none)
 	// cur/streakLeft implement access streaks: one stream issues several
 	// consecutive accesses before control moves to another stream, as a
 	// loop iteration would. Streaks give pointer chases their chains,
